@@ -21,7 +21,8 @@ import numpy as np
 
 from .dataio import (DatasetBundle, NormStats, load_dataset, normalize_apply,
                      normalize_fit, split, take_rows)
-from .elm import Activation, ElmParams, init_params, predict_raw
+from .elm import (Activation, ElmParams, hidden_map, init_params,
+                  predict_raw)
 from .labels import ThresholdCalib, calibrate_update, decode, encode_bipolar, \
     threshold_value
 from .metrics import MetricsReport, evaluate
@@ -232,10 +233,12 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     for start in range(n0, n_train, config.chunk_size):
         stop = min(start + config.chunk_size, n_train)
         Xc = train.X[start:stop]
-        raw = predict_raw(params, state.beta, Xc)
+        # one hidden map per chunk: the scores and the update share it
+        Hc = hidden_map(params, Xc)
+        raw = Hc @ state.beta
         for j in range(stop - start):
             calibrate_update(calib, raw[j], train.labelsets[start + j])
-        update_chunk(state, params, Xc, targets[start:stop])
+        update_chunk(state, params, Xc, targets[start:stop], Hc=Hc)
     seq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

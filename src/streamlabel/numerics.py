@@ -1,8 +1,8 @@
-"""Dense matrix primitives: SPD solves, normal-equation pseudoinverse, seeded draws.
+"""Dense matrix primitives: SPD solves and inverses, pseudoinverse, seeded draws.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
-All solves go through a Cholesky factorization; asymmetric or indefinite
-inputs are rejected rather than silently repaired.
+All solves and inverses go through one checked Cholesky factorization;
+asymmetric or indefinite inputs are rejected rather than silently repaired.
 """
 
 import numpy as np
@@ -14,6 +14,11 @@ GENERATOR_TAG = "numpy-pcg64"
 
 _SYM_RTOL = 1e-9
 _EPS = np.finfo(np.float64).eps
+
+# row-block size of the in-place triangle copy and the symmetry check
+_MIRROR_BLOCK = 64
+_STRICT_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
+_STRICT_UPPER.setflags(write=False)
 
 
 class SingularMatrixError(ValueError):
@@ -53,6 +58,64 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+def mirror_lower(A) -> None:
+    """Copy the strict lower triangle of square A onto the upper one, in place.
+
+    Leaves A exactly symmetric. Works in blocks of rows, so no temporary
+    larger than a block is made.
+    """
+    n = A.shape[0]
+    for i0 in range(0, n, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, n)
+        diag = A[i0:i1, i0:i1]
+        np.copyto(diag, diag.T, where=_STRICT_UPPER[:i1 - i0, :i1 - i0])
+        A[i0:i1, i1:] = A[i1:, i0:i1].T
+
+
+def _asymmetry(A) -> float:
+    """max |A - A'|, taken in blocks of rows to avoid an n x n temporary."""
+    n = A.shape[0]
+    worst = 0.0
+    for i0 in range(0, n, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, n)
+        worst = max(worst, float(np.abs(A[i0:i1] - A[:, i0:i1].T).max()))
+    return worst
+
+
+def _cholesky(A, who: str, overwrite: bool = False) -> np.ndarray:
+    """Checked lower Cholesky factor of symmetric positive definite A.
+
+    A must be symmetric within 1e-9 relative; anything worse is an error,
+    not auto-symmetrized. Raises SingularMatrixError naming the offending
+    pivot when A is not numerically positive definite. With ``overwrite``
+    the factor may be written into A's own memory.
+    """
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
+    if scale > 0.0 and _asymmetry(A) > _SYM_RTOL * scale:
+        raise ValueError("A is not symmetric within 1e-9 relative tolerance")
+
+    factor, info = lapack.dpotrf(A, lower=1, overwrite_a=overwrite)
+    if info > 0:
+        raise SingularMatrixError(
+            f"{who}: matrix is not positive definite (pivot {info - 1})",
+            pivot=info - 1)
+    if info < 0:
+        raise ValueError(f"{who}: illegal value in argument {-info}")
+    # dpotrf can succeed on a numerically singular matrix when rounding turns
+    # an exact zero pivot into a tiny positive one; reject those as well.
+    pivots = np.diagonal(factor) ** 2
+    tiny = 64.0 * n * _EPS * scale
+    if np.any(pivots <= tiny):
+        worst = int(np.argmin(pivots))
+        raise SingularMatrixError(
+            f"{who}: matrix is numerically singular (pivot {worst})",
+            pivot=worst)
+    return factor
+
+
 def solve_spd(A, B) -> np.ndarray:
     """Solve A @ X = B for symmetric positive definite A via Cholesky.
 
@@ -62,37 +125,37 @@ def solve_spd(A, B) -> np.ndarray:
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    if B.shape[0] != n:
+    if B.shape[0] != A.shape[0]:
         raise ValueError(
-            f"dimension mismatch: A is {n}x{n} but B has {B.shape[0]} rows")
-    scale = float(np.abs(A).max()) if A.size else 0.0
-    if scale > 0.0 and float(np.abs(A - A.T).max()) > _SYM_RTOL * scale:
-        raise ValueError("A is not symmetric within 1e-9 relative tolerance")
-
-    factor, info = lapack.dpotrf(A, lower=1)
-    if info > 0:
-        raise SingularMatrixError(
-            f"solve_spd: matrix is not positive definite (pivot {info - 1})",
-            pivot=info - 1)
-    if info < 0:
-        raise ValueError(f"solve_spd: illegal value in argument {-info}")
-    # dpotrf can succeed on a numerically singular matrix when rounding turns
-    # an exact zero pivot into a tiny positive one; reject those as well.
-    pivots = np.diagonal(factor) ** 2
-    tiny = 64.0 * n * _EPS * scale
-    if np.any(pivots <= tiny):
-        worst = int(np.argmin(pivots))
-        raise SingularMatrixError(
-            f"solve_spd: matrix is numerically singular (pivot {worst})",
-            pivot=worst)
-
+            f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]} "
+            f"but B has {B.shape[0]} rows")
+    factor = _cholesky(A, "solve_spd")
     x, info = lapack.dpotrs(factor, B, lower=1)
     if info != 0:
         raise ValueError(f"solve_spd: triangular solve failed (info={info})")
     return x
+
+
+def inv_spd(A) -> np.ndarray:
+    """Inverse of symmetric positive definite A from one checked Cholesky factor.
+
+    Same checks and errors as solve_spd. The result is C-ordered and exactly
+    symmetric. A writeable C-ordered float64 A is overwritten: the inverse is
+    computed in its memory (and A holds garbage if a check fails). Any other
+    A is copied first and left alone.
+    """
+    A = _as_matrix(A, "A")
+    if not (A.flags.c_contiguous and A.flags.writeable):
+        A = np.array(A, order="C")
+    # A is symmetric, so its F-ordered view A.T is the same matrix and LAPACK
+    # can factor and invert it without a copy.
+    factor = _cholesky(A.T, "inv_spd", overwrite=True)
+    inv, info = lapack.dpotri(factor, lower=1, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"inv_spd: inversion failed (info={info})")
+    # the inverse fills the lower triangle of the F-ordered result
+    mirror_lower(inv)
+    return inv.T
 
 
 def pinv_normal(H, ridge: float = 0.0) -> np.ndarray:

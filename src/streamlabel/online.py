@@ -1,17 +1,26 @@
 """Online sequential training of the output weights by recursive least squares.
 
 An initial block of samples is solved in one shot, after which arriving
-samples (or chunks of samples) update the output weights and the inverse
-Gram matrix M in place. For any chunking of the stream, the final weights
-match a batch least-squares fit over all samples seen, up to rounding.
+chunks of samples update the output weights and the inverse Gram matrix M;
+a single sample is a chunk of one. For any chunking of the stream, the final
+weights match a batch least-squares fit over all samples seen, up to
+rounding.
+
+A chunk costs two matrix products on M and no M-sized temporary: M is
+downdated in its own memory, so a caller holding a reference to
+``state.M`` sees it change and should snapshot it with ``.copy()``. Its
+lower triangle is then copied onto the upper one, which keeps M exactly
+symmetric. The output weights take the gain form beta += S'(Yc - Hc beta)
+with S = (I + Hc M Hc')^-1 Hc M, so no second pass over M is needed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .elm import ElmParams, hidden_map
-from .numerics import SingularMatrixError, solve_spd
+from .numerics import SingularMatrixError, inv_spd, mirror_lower, solve_spd
 
 
 @dataclass
@@ -19,8 +28,10 @@ class OselmState:
     """Mutable sequential-training state.
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
-    the accumulated hidden-feature Gram matrix. M stays symmetric; the
-    update functions re-symmetrize it to damp floating-point drift.
+    the accumulated hidden-feature Gram matrix. Updates write M in place
+    (snapshot it with ``.copy()`` to keep an old value) and copy its lower
+    triangle onto the upper one, so M stays exactly symmetric. beta is
+    replaced by a new array on each update.
     Single-writer: never update one state from two threads.
     """
 
@@ -36,39 +47,34 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     With ridge 0 the block must make H0'H0 invertible, which in practice
     means at least n_hidden samples.
     """
+    if ridge < 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     Y0 = np.asarray(Y0_bip, dtype=np.float64)
     H0 = hidden_map(params, X0)
     if Y0.ndim != 2 or Y0.shape[0] != H0.shape[0]:
         raise ValueError(
             f"target shape {Y0.shape} does not match {H0.shape[0]} samples")
-    gram = H0.T @ H0
-    # the matrix product is symmetric only up to roundoff; enforce it
-    gram = 0.5 * (gram + gram.T)
+    # H0.T is an F-ordered view, so dsyrk reads H0 without a copy; it fills
+    # the upper triangle of the F-ordered result, the lower one of its .T
+    gram = blas.dsyrk(1.0, H0.T).T
     if ridge > 0.0:
-        gram = gram + ridge * np.eye(params.n_hidden)
-    elif ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+        gram[np.diag_indices_from(gram)] += ridge
+    mirror_lower(gram)
     try:
-        M = solve_spd(gram, np.eye(params.n_hidden))
+        M = inv_spd(gram)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             f"init_phase: initial Gram matrix is singular (pivot {err.pivot}); "
             f"use a larger initial block (>= {params.n_hidden} samples) "
             "or a positive ridge",
             pivot=err.pivot) from err
-    M = 0.5 * (M + M.T)
     beta = M @ (H0.T @ Y0)
     return OselmState(beta=beta, M=M, samples_seen=H0.shape[0],
                       ridge_used=float(ridge))
 
 
 def update_sample(state: OselmState, params: ElmParams, x, y_bip) -> OselmState:
-    """Rank-one update for one sample; mutates and returns the state.
-
-    With h the hidden-feature row for x:
-        M' = M - (M h h' M) / (1 + h' M h)
-        beta' = beta + M' h (y' - h' beta)
-    """
+    """Update for one sample: update_chunk on a chunk of one row."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_bip, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != params.n_features:
@@ -79,36 +85,59 @@ def update_sample(state: OselmState, params: ElmParams, x, y_bip) -> OselmState:
         raise ValueError(
             f"y must be a vector of {state.beta.shape[1]} labels, "
             f"got shape {y.shape}")
-    h = hidden_map(params, x[None, :])[0]
-    Mh = state.M @ h
-    denom = 1.0 + float(h @ Mh)
-    if not np.isfinite(denom) or denom <= 0.0:
-        raise ValueError(f"update_sample: invalid gain denominator {denom}")
-    M_new = state.M - np.outer(Mh, Mh) / denom
-    M_new = 0.5 * (M_new + M_new.T)
-    residual = y - h @ state.beta
-    state.beta = state.beta + np.outer(M_new @ h, residual)
-    state.M = M_new
-    state.samples_seen += 1
-    return state
+    return update_chunk(state, params, x[None, :], y[None, :])
 
 
-def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip) -> OselmState:
+def _check_finite(name: str, A) -> None:
+    finite_rows = np.isfinite(A).all(axis=1)
+    if not finite_rows.all():
+        raise ValueError(
+            f"update_chunk: {name} row {int(np.argmin(finite_rows))} is not "
+            "finite; the state was left unchanged")
+
+
+def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
+                 Hc=None) -> OselmState:
     """Block update for a chunk of samples; mutates and returns the state.
 
-    Uses the matrix-inversion-lemma form
-        M' = M - M Hc' (I + Hc M Hc')^-1 Hc M
-        beta' = beta + M' Hc' (Yc - Hc beta)
-    which reduces to the rank-one update when the chunk has one sample.
+    With T = Hc M, K = I + T Hc' and the gain S = K^-1 T:
+        M' = M - T'S
+        beta' = beta + S'(Yc - Hc beta)
+    the matrix-inversion-lemma form of recursive least squares. Hc, the
+    hidden-layer rows of Xc, is computed here unless the caller passes it.
+    Every check runs before the state is touched, so an update that raises
+    leaves beta, M and samples_seen as they were.
     """
+    Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
-    Hc = hidden_map(params, Xc)
+    L = params.n_hidden
+    if Hc is None:
+        Hc = hidden_map(params, Xc)
+    else:
+        Hc = np.asarray(Hc, dtype=np.float64)
+        if Xc.ndim != 2 or Hc.shape != (Xc.shape[0], L):
+            raise ValueError(
+                f"hidden rows of shape {Hc.shape} do not match "
+                f"({Xc.shape[0]}, {L})")
     c = Hc.shape[0]
-    if Yc.ndim != 2 or Yc.shape[0] != c or Yc.shape[1] != state.beta.shape[1]:
+    m = state.beta.shape[1]
+    if Yc.shape != (c, m):
         raise ValueError(
-            f"chunk target shape {Yc.shape} does not match "
-            f"({c}, {state.beta.shape[1]})")
-    T = Hc @ state.M
+            f"chunk target shape {Yc.shape} does not match ({c}, {m})")
+    if state.M.shape != (L, L) or state.beta.shape[0] != L:
+        raise ValueError(
+            f"state shapes M {state.M.shape}, beta {state.beta.shape} do not "
+            f"match n_hidden={L}")
+    for name, A in (("Xc", Xc), ("Yc", Yc), ("Hc", Hc)):
+        _check_finite(name, A)
+
+    M = state.M
+    if not (M.dtype == np.float64 and M.flags.c_contiguous
+            and M.flags.writeable):
+        # BLAS below writes into M.T; f2py would write through a read-only
+        # flag, and it copies any other layout
+        M = np.array(M, dtype=np.float64, order="C")
+    T = Hc @ M
     K = np.eye(c) + T @ Hc.T
     # Hc M Hc' is symmetric only up to roundoff; enforce it before factoring
     K = 0.5 * (K + K.T)
@@ -118,10 +147,14 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip) -> OselmState
         raise SingularMatrixError(
             f"update_chunk: gain matrix is singular (pivot {err.pivot})",
             pivot=err.pivot) from err
-    M_new = state.M - T.T @ S
-    M_new = 0.5 * (M_new + M_new.T)
     residual = Yc - Hc @ state.beta
-    state.beta = state.beta + M_new @ (Hc.T @ residual)
-    state.M = M_new
+
+    # All checks passed. M is symmetric, so its F-ordered view M.T is M
+    # itself; dgemm writes M - S'T = (M - T'S)' into that memory.
+    M = blas.dgemm(-1.0, S, T.T, 1.0, M.T, trans_a=1, trans_b=1,
+                   overwrite_c=1).T
+    mirror_lower(M)
+    state.M = M
+    state.beta = state.beta + S.T @ residual
     state.samples_seen += c
     return state

@@ -296,3 +296,22 @@ def test_dataset_defaults_shipped():
     assert yeast["n_train"] == 1600
     with pytest.raises(ConfigError, match="known"):
         load_dataset_defaults("mystery")
+
+
+def test_train_stream_maps_each_streamed_row_once(monkeypatch):
+    import streamlabel.elm as elm
+    import streamlabel.harness as harness
+    import streamlabel.online as online
+    real = elm.hidden_map
+    rows = []
+
+    def counting(params, X):
+        rows.append(len(X))
+        return real(params, X)
+
+    for module in (elm, harness, online):
+        monkeypatch.setattr(module, "hidden_map", counting)
+    bundle = synthetic_bundle(400, 6, 3, seed=36)
+    train_stream(_config(n_hidden=25, n_init=100, chunk_size=30), bundle)
+    assert rows[0] == 100  # the initial block
+    assert sum(rows[1:]) == 400 - 100

@@ -3,6 +3,7 @@ import pytest
 
 from streamlabel import (GENERATOR_TAG, SingularMatrixError, make_rng,
                          pinv_normal, rand_uniform, solve_spd)
+from streamlabel.numerics import inv_spd, mirror_lower
 
 
 def test_solve_identity():
@@ -125,3 +126,50 @@ def test_generator_tag_is_stable():
     assert GENERATOR_TAG == "numpy-pcg64"
     r = make_rng(5)
     assert r.bit_generator.state["bit_generator"] == "PCG64"
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_mirror_lower_copies_lower_triangle(n):
+    A = np.random.default_rng(n).normal(size=(n, n))
+    lower = np.tril(A)
+    mirror_lower(A)
+    assert np.array_equal(A, A.T)
+    assert np.array_equal(np.tril(A), lower)
+
+
+@pytest.mark.parametrize("n", [1, 5, 70])
+def test_inv_spd_matches_solve_in_place(n):
+    rng = np.random.default_rng(n)
+    G = rng.normal(size=(n, n))
+    A = G.T @ G + np.eye(n)
+    A = 0.5 * (A + A.T)
+    want = solve_spd(A, np.eye(n))
+    got = inv_spd(A)
+    assert np.shares_memory(got, A)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("layout", ["read-only", "fortran"])
+def test_inv_spd_leaves_other_layouts_alone(layout):
+    A = np.array([[2.0, 1.0], [1.0, 4.0]])
+    if layout == "read-only":
+        A.setflags(write=False)
+    else:
+        A = np.asfortranarray(A)
+    kept = A.copy()
+    got = inv_spd(A)
+    assert np.array_equal(A, kept)
+    assert np.max(np.abs(got @ kept - np.eye(2))) <= 1e-14
+
+
+def test_inv_spd_shares_the_checks_of_solve_spd():
+    with pytest.raises(ValueError, match="symmetric"):
+        inv_spd(np.array([[2.0, 1.0], [0.5, 2.0]]))
+    with pytest.raises(SingularMatrixError) as excinfo:
+        inv_spd(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    assert excinfo.value.pivot == 1
+    v = np.array([[1.0], [2.0], [3.0]])
+    with pytest.raises(SingularMatrixError):
+        inv_spd(v @ v.T)

@@ -174,3 +174,123 @@ def test_init_phase_target_shape_check():
     X, Y = _stream(24, n=50)
     with pytest.raises(ValueError):
         init_phase(p, X, Y[:40])
+
+
+def _rank_one_oracle(beta, M, h, y):
+    """Textbook rank-one RLS step, independent of the package's update path:
+        M' = M - (M h h' M) / (1 + h' M h)
+        beta' = beta + M' h (y' - h' beta)
+    """
+    Mh = M @ h
+    M_new = M - np.outer(Mh, Mh) / (1.0 + h @ Mh)
+    return beta + np.outer(M_new @ h, y - h @ beta), M_new
+
+
+def test_rank_one_oracle_by_hand():
+    # the same constant-0.5 feature case as test_update_sample_by_hand
+    beta, M = _rank_one_oracle(np.zeros((1, 1)), np.ones((1, 1)),
+                               np.array([0.5]), np.array([1.0]))
+    assert abs(M[0, 0] - 0.8) <= 1e-15
+    assert abs(beta[0, 0] - 0.4) <= 1e-15
+
+
+def test_rank_one_oracle_and_sample_path_match_batch():
+    p = init_params(8, 10, seed=8)
+    X, Y = _stream(9)
+    st = init_phase(p, X[:50], Y[:50])
+    beta, M = st.beta.copy(), st.M.copy()
+    H = hidden_map(p, X)
+    for i in range(50, 200):
+        beta, M = _rank_one_oracle(beta, M, H[i], Y[i])
+        update_sample(st, p, X[i], Y[i])
+    want = batch_train(p, X, Y)
+    for got in (beta, st.beta):
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-6
+
+
+def test_update_chunk_writes_m_in_place():
+    p = init_params(8, 10, seed=25)
+    X, Y = _stream(26, n=70)
+    st = init_phase(p, X[:50], Y[:50])
+    M = st.M
+    before = M.copy()
+    update_chunk(st, p, X[50:70], Y[50:70])
+    # the caller's reference sees the new values: snapshot with .copy()
+    assert np.array_equal(M, st.M)
+    assert not np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("layout", ["read-only", "fortran"])
+def test_update_chunk_hand_built_m_layouts(layout):
+    p = init_params(8, 10, seed=27)
+    X, Y = _stream(28, n=90)
+    want = init_phase(p, X[:50], Y[:50])
+    M = want.M.copy()
+    if layout == "read-only":
+        M.setflags(write=False)
+    else:
+        M = np.asfortranarray(M)
+    snapshot = M.copy()
+    st = OselmState(beta=want.beta.copy(), M=M, samples_seen=50,
+                    ridge_used=0.0)
+    for start in range(50, 90, 20):
+        update_chunk(want, p, X[start:start + 20], Y[start:start + 20])
+        update_chunk(st, p, X[start:start + 20], Y[start:start + 20])
+    assert np.array_equal(M, snapshot)  # the caller's array is not written
+    assert np.max(np.abs(st.M - want.M)) <= 1e-12
+    assert np.max(np.abs(st.beta - want.beta)) <= 1e-12
+    assert np.array_equal(st.M, st.M.T)
+
+
+def test_wide_chunks_stay_symmetric_and_match_batch():
+    p = init_params(20, 300, seed=30)
+    X, Y = _stream(31, n=650, d=20)
+    st = init_phase(p, X[:350], Y[:350])
+    assert np.array_equal(st.M, st.M.T)
+    for start in range(350, 650, 50):
+        update_chunk(st, p, X[start:start + 50], Y[start:start + 50])
+        assert np.array_equal(st.M, st.M.T)
+    beta = batch_train(p, X, Y)
+    assert np.linalg.norm(st.beta - beta) / np.linalg.norm(beta) <= 1e-6
+
+
+def test_init_phase_ridge_matches_batch():
+    p = init_params(8, 10, seed=2)
+    X, Y = _stream(3, n=50)
+    st = init_phase(p, X, Y, ridge=1e-3)
+    beta = batch_train(p, X, Y, ridge=1e-3)
+    assert np.max(np.abs(st.beta - beta)) <= 1e-10
+
+
+@pytest.mark.parametrize("name,row", [("Xc", 3), ("Yc", 0), ("Yc", 4)])
+def test_non_finite_chunk_leaves_state_untouched(name, row):
+    p = init_params(8, 10, seed=32)
+    X, Y = _stream(33, n=60)
+    st = init_phase(p, X[:50], Y[:50])
+    Xc, Yc = X[50:55].copy(), Y[50:55].copy()
+    if name == "Xc":
+        Xc[row, 2] = np.nan
+    else:
+        Yc[row, 1] = np.inf
+    M = st.M
+    beta, M_copy = st.beta.copy(), st.M.copy()
+    with pytest.raises(ValueError, match=f"{name} row {row} is not finite"):
+        update_chunk(st, p, Xc, Yc)
+    assert st.M is M
+    assert np.array_equal(st.M, M_copy)
+    assert np.array_equal(st.beta, beta)
+    assert st.samples_seen == 50
+
+
+def test_update_chunk_precomputed_hidden_rows():
+    p = init_params(8, 10, seed=34)
+    X, Y = _stream(35, n=70)
+    a = init_phase(p, X[:50], Y[:50])
+    b = init_phase(p, X[:50], Y[:50])
+    update_chunk(a, p, X[50:70], Y[50:70])
+    update_chunk(b, p, X[50:70], Y[50:70], Hc=hidden_map(p, X[50:70]))
+    assert np.array_equal(a.beta, b.beta)
+    assert np.array_equal(a.M, b.M)
+    with pytest.raises(ValueError, match="hidden rows"):
+        update_chunk(b, p, X[50:70], Y[50:70], Hc=hidden_map(p, X[50:69]))
+    assert b.samples_seen == 70
