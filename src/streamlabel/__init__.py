@@ -18,11 +18,12 @@ from .harness import (ConfigError, CvReport, LoadedModel, ModelFormatError,
                       predict_sets, run_cv, run_cv_bundle, run_stream,
                       run_stream_split, save_model, train_stream,
                       validate_config)
-from .labels import (DatasetStats, ThresholdCalib, calibrate_update,
-                     dataset_stats, decode, encode_bipolar, threshold_value)
+from .labels import (DatasetStats, ThresholdCalib, calibrate_chunk,
+                     calibrate_update, dataset_stats, decode, decode_rows,
+                     encode_bipolar, label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
-from .numerics import (GENERATOR_TAG, SingularMatrixError, make_rng,
-                       pinv_normal, rand_uniform, solve_spd)
+from .numerics import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
+                       make_rng, pinv_normal, rand_uniform, solve_spd)
 from .online import OselmState, init_phase, update_chunk, update_sample
 
 __version__ = "0.1.0"
@@ -32,9 +33,10 @@ __all__ = [
     "DatasetFormatError", "DatasetStats", "ElmParams", "GENERATOR_TAG",
     "LoadedModel", "MetricsReport", "ModelFormatError", "NormStats",
     "OselmState", "RunConfig", "RunReport", "SingularMatrixError",
-    "ThresholdCalib", "TrainedModel", "batch_train", "calibrate_update",
-    "cv_folds", "dataset_stats", "decode", "emit_report", "encode_bipolar",
-    "evaluate", "hidden_map", "init_params", "init_phase", "load_dataset",
+    "ThresholdCalib", "TrainedModel", "batch_train", "calibrate_chunk",
+    "calibrate_update", "cholesky_spd", "cv_folds", "dataset_stats",
+    "decode", "decode_rows", "emit_report", "encode_bipolar", "evaluate",
+    "hidden_map", "init_params", "init_phase", "label_matrix", "load_dataset",
     "load_dataset_defaults", "load_model", "make_rng", "normalize_apply",
     "normalize_fit", "pinv_normal", "predict_raw", "predict_sets",
     "rand_uniform", "run_cv", "run_cv_bundle", "run_stream",

@@ -19,15 +19,13 @@ import sys
 from pathlib import Path
 
 from .dataio import DatasetFormatError, load_dataset, split
-from .harness import (ConfigError, ModelFormatError, RunConfig, emit_report,
-                      load_dataset_defaults, load_model, predict_sets,
-                      run_cv, run_stream_split, save_model, train_stream,
-                      validate_config)
+from .harness import (REPORT_SCHEMA_VERSION, ConfigError, ModelFormatError,
+                      RunConfig, emit_report, load_dataset_defaults,
+                      load_model, predict_sets, run_cv, run_stream_split,
+                      save_model, train_stream, validate_config)
 from .labels import dataset_stats
 from .metrics import evaluate
 from .numerics import SingularMatrixError
-
-REPORT_SCHEMA_VERSION = 1
 
 
 def _parse_label_spec(value: str):

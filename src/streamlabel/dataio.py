@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import make_rng
+
 
 class DatasetFormatError(ValueError):
     """Unreadable or malformed dataset input."""
@@ -300,8 +302,7 @@ def split(bundle: DatasetBundle, n_train: int, shuffle_seed=None):
     if shuffle_seed is None:
         order = np.arange(n)
     else:
-        order = np.random.Generator(
-            np.random.PCG64(shuffle_seed)).permutation(n)
+        order = make_rng(shuffle_seed).permutation(n)
     return take_rows(bundle, order[:n_train]), take_rows(bundle, order[n_train:])
 
 

@@ -61,7 +61,10 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
             f"hidden layer expects {params.n_features}")
     if params.activation is not Activation.SIGMOID:
         raise ValueError(f"unsupported activation {params.activation!r}")
-    return expit(X @ params.W.T + params.b)
+    # bias and sigmoid in place: no second (n, n_hidden) array
+    H = X @ params.W.T
+    H += params.b
+    return expit(H, out=H)
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:

@@ -23,8 +23,8 @@ from .dataio import (DatasetBundle, NormStats, load_dataset, normalize_apply,
                      normalize_fit, split, take_rows)
 from .elm import (Activation, ElmParams, hidden_map, init_params,
                   predict_raw)
-from .labels import ThresholdCalib, calibrate_update, decode, encode_bipolar, \
-    threshold_value
+from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
+                     label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
 from .numerics import GENERATOR_TAG, make_rng
 from .online import OselmState, init_phase, update_chunk
@@ -197,10 +197,6 @@ class TrainedModel:
         return self.init_s + self.seq_s + self.threshold_s
 
 
-def _encode_targets(bundle: DatasetBundle) -> np.ndarray:
-    return np.stack([encode_bipolar(s, bundle.m) for s in bundle.labelsets])
-
-
 def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     """Run the full streaming training phase over a training bundle.
 
@@ -220,7 +216,8 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     if config.normalize:
         norm_stats = normalize_fit(train)
         train = normalize_apply(norm_stats, train)
-    targets = _encode_targets(train)
+    truth = label_matrix(train.labelsets, train.m)
+    targets = np.where(truth, 1.0, -1.0)
     params = init_params(train.n_features, config.n_hidden, config.seed)
 
     t0 = time.perf_counter()
@@ -233,12 +230,13 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     for start in range(n0, n_train, config.chunk_size):
         stop = min(start + config.chunk_size, n_train)
         Xc = train.X[start:stop]
-        # one hidden map per chunk: the scores and the update share it
+        # one hidden map and one score product per chunk: the calibration
+        # and the update share them
         Hc = hidden_map(params, Xc)
         raw = Hc @ state.beta
-        for j in range(stop - start):
-            calibrate_update(calib, raw[j], train.labelsets[start + j])
-        update_chunk(state, params, Xc, targets[start:stop], Hc=Hc)
+        calibrate_chunk(calib, raw, truth[start:stop])
+        update_chunk(state, params, Xc, targets[start:stop], Hc=Hc,
+                     scores=raw)
     seq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -247,10 +245,8 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     elif config.threshold_mode == "calibrated":
         threshold = threshold_value(calib)
     else:  # recalibrate: post-hoc pass over all training data with final beta
-        post = ThresholdCalib()
-        raw_all = predict_raw(params, state.beta, train.X)
-        for j in range(n_train):
-            calibrate_update(post, raw_all[j], train.labelsets[j])
+        post = calibrate_chunk(ThresholdCalib(),
+                               predict_raw(params, state.beta, train.X), truth)
         threshold = threshold_value(post)
     threshold_s = time.perf_counter() - t0
 
@@ -267,7 +263,7 @@ def predict_sets(params: ElmParams, beta, threshold: float,
         bundle = normalize_apply(norm_stats, bundle)
     t0 = time.perf_counter()
     raw = predict_raw(params, beta, bundle.X)
-    preds = [decode(raw[i], threshold, min_one) for i in range(raw.shape[0])]
+    preds = decode_rows(raw, threshold, min_one)
     elapsed = time.perf_counter() - t0
     return preds, elapsed
 

@@ -1,12 +1,17 @@
 """Label-space handling: bipolar encoding, threshold calibration, decoding.
 
 A label set is a plain Python set (or frozenset) of zero-based label
-indices; the label-space dimension m travels alongside it. Encoding maps a
-set to a +/-1 vector so that a zero threshold separates membership; the
-calibrated threshold sharpens that split from raw scores seen in training.
+indices; the label-space dimension m travels alongside it. Inside a run,
+many sets become one (n, m) bool membership matrix (label_matrix), which
+gives the +/-1 targets (a zero threshold separates membership) and feeds
+the threshold calibration a whole chunk at a time (calibrate_chunk). The
+calibrated threshold sharpens that split from raw scores seen in training;
+decode_rows turns a score matrix back into label sets. The one-row
+functions encode_bipolar, calibrate_update and decode wrap these.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,21 +40,56 @@ class DatasetStats:
     n_labels: int
 
 
-def _check_members(labels, m: int) -> frozenset:
-    members = frozenset(labels)
-    for i in members:
-        if not 0 <= int(i) < m:
-            raise ValueError(f"label index {i} outside label space of size {m}")
-    return members
+def label_matrix(labelsets, m: int) -> np.ndarray:
+    """(n, m) bool membership matrix: row j is True at the members of set j.
+
+    Each set is a sized collection of label indices; every index must lie in
+    [0, m). All indices are validated and scattered in one flat pass.
+    """
+    if not isinstance(labelsets, (list, tuple)):
+        labelsets = list(labelsets)
+    n = len(labelsets)
+    sizes = np.fromiter(map(len, labelsets), dtype=np.intp, count=n)
+    cols = np.array(list(chain.from_iterable(labelsets)))
+    if cols.size and cols.dtype.kind not in "iu":
+        raise ValueError(f"label indices must be integers, got {cols.dtype}")
+    cols = cols.astype(np.int64, copy=False)
+    bad = (cols < 0) | (cols >= m)
+    if bad.any():
+        raise ValueError(f"label index {cols[np.argmax(bad)]} outside label "
+                         f"space of size {m}")
+    Y = np.zeros((n, m), dtype=bool)
+    Y.reshape(-1)[np.repeat(np.arange(n) * m, sizes) + cols] = True
+    return Y
 
 
 def encode_bipolar(labels, m: int) -> np.ndarray:
     """Length-m vector with +1 at member positions and -1 elsewhere."""
-    members = _check_members(labels, m)
-    out = np.full(m, -1.0)
-    if members:
-        out[list(members)] = 1.0
-    return out
+    return np.where(label_matrix([frozenset(labels)], m)[0], 1.0, -1.0)
+
+
+def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
+    """Fold a chunk's raw scores into the running extrema; returns calib.
+
+    y_raw is (c, m) real scores, truth the matching (c, m) bool membership
+    (see label_matrix). The result equals folding the rows one at a time.
+    """
+    y_raw = np.asarray(y_raw, dtype=np.float64)
+    truth = np.asarray(truth)
+    if y_raw.ndim != 2:
+        raise ValueError(f"y_raw must be a matrix, got ndim={y_raw.ndim}")
+    if truth.dtype != bool or truth.shape != y_raw.shape:
+        raise ValueError(
+            f"truth must be a bool matrix of shape {y_raw.shape}, "
+            f"got {truth.dtype} {truth.shape}")
+    if truth.any():
+        pos = float(np.min(y_raw, where=truth, initial=np.inf))
+        calib.min_pos = pos if calib.min_pos is None else min(calib.min_pos, pos)
+    if not truth.all():
+        neg = float(np.max(y_raw, where=~truth, initial=-np.inf))
+        calib.max_neg = neg if calib.max_neg is None else max(calib.max_neg, neg)
+    calib.observations += y_raw.shape[0]
+    return calib
 
 
 def calibrate_update(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
@@ -57,18 +97,8 @@ def calibrate_update(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 1:
         raise ValueError(f"y_raw must be a vector, got ndim={y_raw.ndim}")
-    m = y_raw.shape[0]
-    members = _check_members(truth, m)
-    if members:
-        pos = float(min(y_raw[i] for i in members))
-        calib.min_pos = pos if calib.min_pos is None else min(calib.min_pos, pos)
-    if len(members) < m:
-        mask = np.ones(m, dtype=bool)
-        mask[list(members)] = False
-        neg = float(y_raw[mask].max())
-        calib.max_neg = neg if calib.max_neg is None else max(calib.max_neg, neg)
-    calib.observations += 1
-    return calib
+    members = label_matrix([frozenset(truth)], y_raw.shape[0])
+    return calibrate_chunk(calib, y_raw[None, :], members)
 
 
 def threshold_value(calib: ThresholdCalib) -> float:
@@ -85,19 +115,36 @@ def threshold_value(calib: ThresholdCalib) -> float:
     return (calib.min_pos + calib.max_neg) / 2.0
 
 
-def decode(y_raw, threshold: float, min_one: bool = False) -> set:
-    """Label set {i : y_raw[i] > threshold}; ties predict negative.
+def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
+    """One label set {i : y_raw[j, i] > threshold} per row j of a score matrix.
 
-    With min_one set, an empty result falls back to the argmax position
-    (lowest index on ties) so every sample gets at least one label.
+    Ties predict negative. With min_one set, an empty row falls back to its
+    argmax position (lowest index on ties) so every sample gets at least
+    one label.
     """
+    y_raw = np.asarray(y_raw, dtype=np.float64)
+    if y_raw.ndim != 2:
+        raise ValueError(f"y_raw must be a matrix, got ndim={y_raw.ndim}")
+    hits = y_raw > threshold
+    if min_one and y_raw.shape[1]:
+        empty = np.flatnonzero(~hits.any(axis=1))
+        hits[empty, np.argmax(y_raw[empty], axis=1)] = True
+    members = np.nonzero(hits)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(hits, axis=1)).tolist()
+    out = []
+    start = 0
+    for end in ends:
+        out.append(set(members[start:end]))
+        start = end
+    return out
+
+
+def decode(y_raw, threshold: float, min_one: bool = False) -> set:
+    """Label set of one score vector; see decode_rows."""
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 1:
         raise ValueError(f"y_raw must be a vector, got ndim={y_raw.ndim}")
-    members = set(np.nonzero(y_raw > threshold)[0].tolist())
-    if min_one and not members and y_raw.size:
-        members = {int(np.argmax(y_raw))}
-    return members
+    return decode_rows(y_raw[None, :], threshold, min_one)[0]
 
 
 def dataset_stats(labelsets, m: int) -> DatasetStats:
@@ -107,9 +154,7 @@ def dataset_stats(labelsets, m: int) -> DatasetStats:
         raise ValueError("dataset_stats: empty label-set sequence")
     if m < 1:
         raise ValueError(f"label space must have m >= 1, got {m}")
-    for s in labelsets:
-        _check_members(s, m)
-    cardinality = sum(len(s) for s in labelsets) / len(labelsets)
+    cardinality = int(label_matrix(labelsets, m).sum()) / len(labelsets)
     return DatasetStats(label_cardinality=cardinality,
                         label_density=cardinality / m,
                         n_samples=len(labelsets), n_labels=m)

@@ -82,14 +82,17 @@ def _asymmetry(A) -> float:
     return worst
 
 
-def _cholesky(A, who: str, overwrite: bool = False) -> np.ndarray:
+def cholesky_spd(A, who: str = "cholesky_spd",
+                 overwrite: bool = False) -> np.ndarray:
     """Checked lower Cholesky factor of symmetric positive definite A.
 
     A must be symmetric within 1e-9 relative; anything worse is an error,
     not auto-symmetrized. Raises SingularMatrixError naming the offending
-    pivot when A is not numerically positive definite. With ``overwrite``
-    the factor may be written into A's own memory.
+    pivot when A is not numerically positive definite; ``who`` prefixes the
+    messages. The factor is F-ordered and only its lower triangle is
+    meaningful. With ``overwrite`` it may be written into A's own memory.
     """
+    A = _as_matrix(A, "A")
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"A must be square, got shape {A.shape}")
@@ -129,7 +132,7 @@ def solve_spd(A, B) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]} "
             f"but B has {B.shape[0]} rows")
-    factor = _cholesky(A, "solve_spd")
+    factor = cholesky_spd(A, "solve_spd")
     x, info = lapack.dpotrs(factor, B, lower=1)
     if info != 0:
         raise ValueError(f"solve_spd: triangular solve failed (info={info})")
@@ -149,7 +152,7 @@ def inv_spd(A) -> np.ndarray:
         A = np.array(A, order="C")
     # A is symmetric, so its F-ordered view A.T is the same matrix and LAPACK
     # can factor and invert it without a copy.
-    factor = _cholesky(A.T, "inv_spd", overwrite=True)
+    factor = cholesky_spd(A.T, "inv_spd", overwrite=True)
     inv, info = lapack.dpotri(factor, lower=1, overwrite_c=True)
     if info != 0:
         raise ValueError(f"inv_spd: inversion failed (info={info})")

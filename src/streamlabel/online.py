@@ -6,12 +6,15 @@ a single sample is a chunk of one. For any chunking of the stream, the final
 weights match a batch least-squares fit over all samples seen, up to
 rounding.
 
-A chunk costs two matrix products on M and no M-sized temporary: M is
-downdated in its own memory, so a caller holding a reference to
-``state.M`` sees it change and should snapshot it with ``.copy()``. Its
-lower triangle is then copied onto the upper one, which keeps M exactly
-symmetric. The output weights take the gain form beta += S'(Yc - Hc beta)
-with S = (I + Hc M Hc')^-1 Hc M, so no second pass over M is needed.
+A chunk of c rows Hc costs one product T = Hc M, one c x c Cholesky factor
+F F' = I + T Hc', one triangular solve U = F^-1 T and one symmetric
+rank-c downdate M -= U'U, and no M-sized temporary: M is downdated in its
+own memory, so a caller holding a reference to ``state.M`` sees it change
+and should snapshot it with ``.copy()``. The downdate writes one triangle,
+which is then copied onto the other, so M stays exactly symmetric. The
+output weights take the gain form beta += U'F^-1 (Yc - Hc beta), so no
+second pass over M is needed; a caller that already holds the chunk's
+scores Hc beta passes them as ``scores=`` and they are not recomputed.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from .elm import ElmParams, hidden_map
-from .numerics import SingularMatrixError, inv_spd, mirror_lower, solve_spd
+from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
 
 
 @dataclass
@@ -97,16 +100,17 @@ def _check_finite(name: str, A) -> None:
 
 
 def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
-                 Hc=None) -> OselmState:
+                 Hc=None, scores=None) -> OselmState:
     """Block update for a chunk of samples; mutates and returns the state.
 
-    With T = Hc M, K = I + T Hc' and the gain S = K^-1 T:
-        M' = M - T'S
-        beta' = beta + S'(Yc - Hc beta)
+    With T = Hc M, the Cholesky factor F F' = I + T Hc' and U = F^-1 T:
+        M' = M - U'U
+        beta' = beta + U'F^-1 (Yc - Hc beta)
     the matrix-inversion-lemma form of recursive least squares. Hc, the
-    hidden-layer rows of Xc, is computed here unless the caller passes it.
-    Every check runs before the state is touched, so an update that raises
-    leaves beta, M and samples_seen as they were.
+    hidden-layer rows of Xc, and scores, the chunk's raw outputs Hc beta
+    under the current weights, are computed here unless the caller passes
+    them. Every check runs before the state is touched, so an update that
+    raises leaves beta, M and samples_seen as they were.
     """
     Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
@@ -130,6 +134,15 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
             f"match n_hidden={L}")
     for name, A in (("Xc", Xc), ("Yc", Yc), ("Hc", Hc)):
         _check_finite(name, A)
+    if scores is None:
+        scores = Hc @ state.beta
+    else:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (c, m):
+            raise ValueError(
+                f"chunk scores of shape {scores.shape} do not match "
+                f"({c}, {m})")
+        _check_finite("scores", scores)
 
     M = state.M
     if not (M.dtype == np.float64 and M.flags.c_contiguous
@@ -142,19 +155,23 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     # Hc M Hc' is symmetric only up to roundoff; enforce it before factoring
     K = 0.5 * (K + K.T)
     try:
-        S = solve_spd(K, T)
+        F = cholesky_spd(K, "update_chunk")
     except SingularMatrixError as err:
         raise SingularMatrixError(
             f"update_chunk: gain matrix is singular (pivot {err.pivot})",
             pivot=err.pivot) from err
-    residual = Yc - Hc @ state.beta
+    # T.T is an F-ordered view, so dtrsm solves U' F' = T' in T's memory;
+    # w' F' = r' likewise gives w = F^-1 r in the residual's memory
+    Ut = blas.dtrsm(1.0, F, T.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    residual = Yc - scores
+    w = blas.dtrsm(1.0, F, residual.T, side=1, lower=1, trans_a=1,
+                   overwrite_b=1).T
 
     # All checks passed. M is symmetric, so its F-ordered view M.T is M
-    # itself; dgemm writes M - S'T = (M - T'S)' into that memory.
-    M = blas.dgemm(-1.0, S, T.T, 1.0, M.T, trans_a=1, trans_b=1,
-                   overwrite_c=1).T
+    # itself; dsyrk writes M - U'U into one triangle of that memory.
+    M = blas.dsyrk(-1.0, Ut, beta=1.0, c=M.T, overwrite_c=1).T
     mirror_lower(M)
     state.M = M
-    state.beta = state.beta + S.T @ residual
+    state.beta = state.beta + Ut @ w
     state.samples_seen += c
     return state

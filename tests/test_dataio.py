@@ -262,3 +262,13 @@ def test_normalize_feature_count_check():
     other = synthetic_bundle(5, 4, 2, seed=9)
     with pytest.raises(ValueError):
         normalize_apply(normalize_fit(bundle), other)
+
+
+def test_split_shuffled_order_is_pinned():
+    # the seeded permutation is part of the reproducibility contract
+    bundle = synthetic_bundle(12, 2, 2, seed=9)
+    train, test = split(bundle, 8, shuffle_seed=2024)
+    order = [5, 7, 10, 2, 3, 11, 0, 1, 4, 9, 6, 8]
+    assert np.array_equal(train.X, bundle.X[order[:8]])
+    assert np.array_equal(test.X, bundle.X[order[8:]])
+    assert train.labelsets == tuple(bundle.labelsets[i] for i in order[:8])

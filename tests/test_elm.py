@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,26 @@ def test_hidden_map_range_and_shape():
     assert H.shape == (20, 8)
     assert np.all(H > 0.0)
     assert np.all(H < 1.0)
+
+
+def test_hidden_map_is_bit_identical_to_expression():
+    from scipy.special import expit
+    p = init_params(50, 40, seed=8)
+    X = np.random.default_rng(9).normal(size=(30, 50))
+    assert np.array_equal(hidden_map(p, X), expit(X @ p.W.T + p.b))
+
+
+def test_hidden_map_holds_one_result_sized_array():
+    p = init_params(50, 400, seed=10)
+    X = np.random.default_rng(11).normal(size=(2000, 50))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        H = hidden_map(p, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * H.nbytes
 
 
 def test_hidden_map_dim_check():

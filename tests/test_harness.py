@@ -315,3 +315,25 @@ def test_train_stream_maps_each_streamed_row_once(monkeypatch):
     train_stream(_config(n_hidden=25, n_init=100, chunk_size=30), bundle)
     assert rows[0] == 100  # the initial block
     assert sum(rows[1:]) == 400 - 100
+
+
+def test_train_stream_calls_update_chunk_once_per_epoch(monkeypatch):
+    import streamlabel.harness as harness
+    real = harness.update_chunk
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "update_chunk", counting)
+    bundle = synthetic_bundle(400, 6, 3, seed=37)
+    model = train_stream(_config(n_hidden=25, n_init=100, chunk_size=30),
+                         bundle)
+    assert len(calls) == model.n_epochs == math.ceil((400 - 100) / 30)
+    for args in calls:
+        assert len(args) == 4  # (state, params, Xc, Yc), all positional
+        assert args[0] is model.state
+        assert args[1] is model.params
+        assert args[2].shape[0] == args[3].shape[0]
+    assert sum(args[2].shape[0] for args in calls) == 400 - 100

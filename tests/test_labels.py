@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from streamlabel import (ThresholdCalib, calibrate_update, dataset_stats,
-                         decode, encode_bipolar, evaluate, threshold_value)
+from streamlabel import (ThresholdCalib, calibrate_chunk, calibrate_update,
+                         dataset_stats, decode, decode_rows, encode_bipolar,
+                         evaluate, label_matrix, threshold_value)
 
 
 def test_encode_empty_set():
@@ -183,3 +184,114 @@ def test_dataset_stats_validation():
         dataset_stats([{0}], 0)
     with pytest.raises(ValueError):
         dataset_stats([{5}], 3)
+
+
+def test_label_matrix_hand_case():
+    Y = label_matrix([{0, 2}, set(), {1}], 3)
+    assert Y.dtype == bool
+    assert np.array_equal(Y, [[True, False, True], [False, False, False],
+                              [False, True, False]])
+    assert label_matrix((), 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_label_matrix_rejects_out_of_range(bad):
+    # a negative index must not wrap around to the last label
+    with pytest.raises(ValueError, match=f"label index {bad} outside label "
+                                         "space of size 3"):
+        label_matrix([{0}, {1, bad}], 3)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_label_matrix_rejects_non_integer_indices(bad):
+    with pytest.raises(ValueError, match="label indices must be integers"):
+        label_matrix([{0}, {bad}], 3)
+
+
+def test_label_matrix_matches_encode_bipolar():
+    rng = np.random.default_rng(11)
+    m = 9
+    sets = [frozenset(np.nonzero(rng.random(m) < 0.3)[0].tolist())
+            for _ in range(50)]
+    Y = label_matrix(iter(sets), m)
+    assert np.array_equal(np.where(Y, 1.0, -1.0),
+                          np.stack([encode_bipolar(s, m) for s in sets]))
+
+
+def _fold_rows_oracle(calib, y_raw, truth):
+    """Per-row extrema in plain Python: the calibration definition itself."""
+    for y, row in zip(y_raw.tolist(), truth.tolist()):
+        pos = [v for v, t in zip(y, row) if t]
+        neg = [v for v, t in zip(y, row) if not t]
+        if pos:
+            calib.min_pos = min(pos + ([] if calib.min_pos is None
+                                       else [calib.min_pos]))
+        if neg:
+            calib.max_neg = max(neg + ([] if calib.max_neg is None
+                                       else [calib.max_neg]))
+        calib.observations += 1
+    return calib
+
+
+def test_calibrate_chunk_equals_row_by_row_fold():
+    rng = np.random.default_rng(12)
+    m = 6
+    chunked, oracle, rowwise = (ThresholdCalib() for _ in range(3))
+    chunks = [rng.random((8, m)) < 0.3 for _ in range(6)]
+    chunks[0][:] = False  # no positives: min_pos stays None after it
+    chunks[2][:] = True   # no negatives
+    chunks.insert(3, np.zeros((0, m), dtype=bool))  # an empty chunk
+    for truth in chunks:
+        y = rng.normal(size=truth.shape)
+        calibrate_chunk(chunked, y, truth)
+        _fold_rows_oracle(oracle, y, truth)
+        for j in range(truth.shape[0]):
+            calibrate_update(rowwise, y[j], set(np.nonzero(truth[j])[0]))
+        assert (chunked.min_pos, chunked.max_neg, chunked.observations) == \
+            (oracle.min_pos, oracle.max_neg, oracle.observations)
+        assert (rowwise.min_pos, rowwise.max_neg, rowwise.observations) == \
+            (oracle.min_pos, oracle.max_neg, oracle.observations)
+        if truth is chunks[0]:
+            assert chunked.min_pos is None and chunked.max_neg is not None
+    assert chunked.observations == 48
+
+
+def test_calibrate_chunk_validates_shapes():
+    with pytest.raises(ValueError, match="matrix"):
+        calibrate_chunk(ThresholdCalib(), np.zeros(3), np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="bool matrix"):
+        calibrate_chunk(ThresholdCalib(), np.zeros((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="bool matrix"):
+        calibrate_chunk(ThresholdCalib(), np.zeros((2, 3)),
+                        np.ones((3, 2), dtype=bool))
+
+
+def _decode_oracle(y, threshold, min_one):
+    members = {i for i, v in enumerate(y) if v > threshold}
+    if min_one and not members and len(y):
+        top = max(y)
+        members = {min(i for i, v in enumerate(y) if v == top)}
+    return members
+
+
+@pytest.mark.parametrize("min_one", [False, True])
+@pytest.mark.parametrize("threshold", [-0.5, 0.25, 1.0, 2.0])
+def test_decode_rows_matches_per_row_oracle(threshold, min_one):
+    # scores on a quarter grid: ties at the threshold and argmax ties are
+    # common, and threshold 2.0 leaves every row below it
+    rng = np.random.default_rng(13)
+    raw = rng.integers(-4, 5, size=(120, 7)) / 4.0
+    raw[0] = [1.0, 1.0, -1.0, 1.0, 0.5, 0.0, 1.0]  # argmax tie, lowest wins
+    raw[1] = threshold  # every score exactly at the threshold
+    got = decode_rows(raw, threshold, min_one)
+    want = [_decode_oracle(row, threshold, min_one) for row in raw.tolist()]
+    assert got == want
+    assert got == [decode(row, threshold, min_one) for row in raw]
+    assert got[1] == ({0} if min_one else set())
+
+
+def test_decode_rows_edge_shapes():
+    assert decode_rows(np.zeros((0, 3)), 0.0, min_one=True) == []
+    assert decode_rows(np.zeros((2, 0)), 0.0, min_one=True) == [set(), set()]
+    with pytest.raises(ValueError, match="matrix"):
+        decode_rows(np.zeros(3), 0.0)

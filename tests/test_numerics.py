@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from streamlabel import (GENERATOR_TAG, SingularMatrixError, make_rng,
-                         pinv_normal, rand_uniform, solve_spd)
+from streamlabel import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
+                         make_rng, pinv_normal, rand_uniform, solve_spd)
 from streamlabel.numerics import inv_spd, mirror_lower
 
 
@@ -173,3 +173,18 @@ def test_inv_spd_shares_the_checks_of_solve_spd():
     v = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(SingularMatrixError):
         inv_spd(v @ v.T)
+
+
+def test_cholesky_spd_factor_and_errors():
+    B = np.random.default_rng(14).normal(size=(6, 6))
+    A = B @ B.T + 6.0 * np.eye(6)
+    kept = A.copy()
+    F = np.tril(cholesky_spd(A))
+    assert np.array_equal(A, kept)
+    assert np.max(np.abs(F @ F.T - A)) <= 1e-12 * np.max(np.abs(A))
+    with pytest.raises(ValueError, match="symmetric"):
+        cholesky_spd(np.array([[2.0, 1.0], [0.5, 2.0]]))
+    not_pd = "gain: matrix is not positive definite"
+    with pytest.raises(SingularMatrixError, match=not_pd) as excinfo:
+        cholesky_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), "gain")
+    assert excinfo.value.pivot == 1

@@ -294,3 +294,40 @@ def test_update_chunk_precomputed_hidden_rows():
     with pytest.raises(ValueError, match="hidden rows"):
         update_chunk(b, p, X[50:70], Y[50:70], Hc=hidden_map(p, X[50:69]))
     assert b.samples_seen == 70
+
+
+def test_update_chunk_precomputed_scores():
+    p = init_params(8, 10, seed=36)
+    X, Y = _stream(37, n=70)
+    a = init_phase(p, X[:50], Y[:50])
+    b = init_phase(p, X[:50], Y[:50])
+    Hc = hidden_map(p, X[50:70])
+    update_chunk(a, p, X[50:70], Y[50:70], Hc=Hc)
+    update_chunk(b, p, X[50:70], Y[50:70], Hc=Hc, scores=Hc @ b.beta)
+    assert np.array_equal(a.beta, b.beta)
+    assert np.array_equal(a.M, b.M)
+    assert a.samples_seen == b.samples_seen == 70
+
+
+@pytest.mark.parametrize("bad", ["short", "wide", "nan", "inf"])
+def test_bad_scores_leave_state_untouched(bad):
+    p = init_params(8, 10, seed=38)
+    X, Y = _stream(39, n=60)
+    st = init_phase(p, X[:50], Y[:50])
+    Hc = hidden_map(p, X[50:55])
+    scores = Hc @ st.beta
+    if bad == "short":
+        scores, match = scores[:4], "chunk scores of shape"
+    elif bad == "wide":
+        scores, match = scores[:, :4], "chunk scores of shape"
+    else:
+        scores[2, 1] = np.nan if bad == "nan" else -np.inf
+        match = "scores row 2 is not finite"
+    M = st.M
+    beta, M_copy = st.beta.copy(), st.M.copy()
+    with pytest.raises(ValueError, match=match):
+        update_chunk(st, p, X[50:55], Y[50:55], Hc=Hc, scores=scores)
+    assert st.M is M
+    assert np.array_equal(st.M, M_copy)
+    assert np.array_equal(st.beta, beta)
+    assert st.samples_seen == 50
