@@ -21,7 +21,7 @@ from pathlib import Path
 from .dataio import DatasetFormatError, load_dataset, split
 from .harness import (REPORT_SCHEMA_VERSION, ConfigError, ModelFormatError,
                       RunConfig, emit_report, load_dataset_defaults,
-                      load_model, predict_sets, run_cv, run_stream_split,
+                      load_model, predict_sets, run_cv, run_stream,
                       save_model, train_stream, validate_config)
 from .labels import dataset_stats
 from .metrics import evaluate
@@ -74,11 +74,10 @@ def _add_run_args(parser):
     parser.add_argument("--threshold-mode",
                         choices=("calibrated", "zero", "recalibrate"),
                         help="how the decoding threshold is chosen")
-    parser.add_argument("--min-one", action="store_true", default=None,
-                        help="never predict an empty label set")
     parser.add_argument("--no-normalize", action="store_true", default=None,
                         help="skip min-max feature scaling")
     parser.add_argument("--name", help="dataset name used in reports")
+    parser.add_argument("--seed", type=int, default=0, help="run seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,37 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     for command, summary in (
             ("stream", "train on a prefix of the data and score the rest"),
             ("train", "train and save a model file"),
+            ("eval", "score a saved model"),
             ("cv", "k-fold cross-validation"),
+            ("stats", "dataset shape and label statistics"),
     ):
         p = sub.add_parser(command, help=summary)
         _add_data_args(p)
-        _add_run_args(p)
-        p.add_argument("--seed", type=int, default=0, help="run seed")
-        p.add_argument("--out", help="write output to this path")
+        if command in ("stream", "train", "cv"):
+            _add_run_args(p)
+        if command != "stats":
+            p.add_argument("--min-one", action="store_true", default=None,
+                           help="never predict an empty label set")
+        if command == "eval":
+            p.add_argument("--model", required=True, help="model file to load")
+            p.add_argument("--skip", type=int, default=0,
+                           help="skip this many leading rows "
+                                "(e.g. the training split)")
         if command == "cv":
             p.add_argument("--folds", type=int, default=5, help="fold count")
+        p.add_argument("--out", help="write output to this path")
         if command != "train":
             p.add_argument("--text", action="store_true",
-                           help="aligned text report instead of JSON")
-
-    p = sub.add_parser("eval", help="score a saved model")
-    _add_data_args(p)
-    p.add_argument("--model", required=True, help="model file to load")
-    p.add_argument("--skip", type=int, default=0,
-                   help="skip this many leading rows (e.g. the training split)")
-    p.add_argument("--min-one", action="store_true", default=None,
-                   help="never predict an empty label set")
-    p.add_argument("--seed", type=int, default=0, help="unused, kept for symmetry")
-    p.add_argument("--out", help="write output to this path")
-    p.add_argument("--text", action="store_true",
-                   help="aligned text report instead of JSON")
-
-    p = sub.add_parser("stats", help="dataset shape and label statistics")
-    _add_data_args(p)
-    p.add_argument("--seed", type=int, default=0, help="unused, kept for symmetry")
-    p.add_argument("--out", help="write output to this path")
-    p.add_argument("--text", action="store_true",
-                   help="aligned text output instead of JSON")
+                           help="aligned text output instead of JSON")
     return parser
 
 
@@ -143,7 +133,7 @@ def _build_config(args) -> RunConfig:
         "threshold_mode": getattr(args, "threshold_mode", None),
         "min_one": getattr(args, "min_one", None),
         "seed": getattr(args, "seed", None),
-        "out_path": getattr(args, "out", None),
+        "out_path": args.out,
     }
     if args.labels is not None:
         overrides["label_spec"] = _parse_label_spec(args.labels)
@@ -171,12 +161,7 @@ def _write_output(text: str, out_path) -> None:
 
 def _cmd_stream(args) -> None:
     config = _build_config(args)
-    if config.n_train is None:
-        raise ConfigError("--n-train is required (or --defaults NAME)")
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
-    train, test = split(bundle, config.n_train)
-    report = run_stream_split(config, train, test)
+    report = run_stream(config)
     fmt = "text" if args.text else "json"
     _write_output(emit_report(report, fmt), config.out_path)
 
@@ -205,26 +190,15 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    config = _build_config(args)
     model = load_model(args.model)
-    if args.labels is None and not args.defaults:
-        raise ConfigError("--labels is required (or --defaults NAME)")
-    label_spec = None
-    data_format = args.format or "arff"
-    delimiter = args.delimiter or ","
-    data_path = args.data
-    min_one = args.min_one
-    if args.defaults:
-        defaults = load_dataset_defaults(args.defaults)
-        label_spec = defaults.get("label_spec")
-        if min_one is None:
-            min_one = defaults.get("min_one")
-        if data_path is None:
-            data_path = _default_data_path(args.defaults)
-    if args.labels is not None:
-        label_spec = _parse_label_spec(args.labels)
-    if data_path is None:
-        raise ConfigError("--data is required (or --defaults NAME)")
-    bundle = load_dataset(data_path, data_format, label_spec, delimiter)
+    bundle = load_dataset(config.data_path, config.data_format,
+                          config.label_spec, config.delimiter)
+    n_labels = model.state.beta.shape[1]
+    if bundle.m != n_labels:
+        raise ConfigError(
+            f"model and dataset label spaces differ: the model has {n_labels} "
+            f"labels, {config.data_path} has {bundle.m}")
     if args.skip:
         if not 0 < args.skip < bundle.n_samples:
             raise ConfigError(
@@ -235,11 +209,11 @@ def _cmd_eval(args) -> None:
             f"{args.model} stores no decoding threshold; cannot eval")
     preds, test_s = predict_sets(model.params, model.state.beta,
                                  model.threshold, model.norm_stats, bundle,
-                                 bool(min_one))
+                                 config.min_one)
     metrics = evaluate(preds, bundle.labelsets, bundle.m)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset": Path(data_path).stem,
+        "dataset": Path(config.data_path).stem,
         "model_path": args.model,
         "n_samples": bundle.n_samples,
         "metrics": metrics.as_dict(),
@@ -253,7 +227,7 @@ def _cmd_eval(args) -> None:
         out = "\n".join(lines) + "\n"
     else:
         out = json.dumps(doc, indent=2) + "\n"
-    _write_output(out, args.out)
+    _write_output(out, config.out_path)
 
 
 def _cmd_cv(args) -> None:
@@ -264,25 +238,13 @@ def _cmd_cv(args) -> None:
 
 
 def _cmd_stats(args) -> None:
-    if args.labels is None and not args.defaults:
-        raise ConfigError("--labels is required (or --defaults NAME)")
-    label_spec = None
-    data_path = args.data
-    if args.defaults:
-        defaults = load_dataset_defaults(args.defaults)
-        label_spec = defaults.get("label_spec")
-        if data_path is None:
-            data_path = _default_data_path(args.defaults)
-    if args.labels is not None:
-        label_spec = _parse_label_spec(args.labels)
-    if data_path is None:
-        raise ConfigError("--data is required (or --defaults NAME)")
-    bundle = load_dataset(data_path, args.format or "arff", label_spec,
-                          args.delimiter or ",")
+    config = _build_config(args)
+    bundle = load_dataset(config.data_path, config.data_format,
+                          config.label_spec, config.delimiter)
     stats = dataset_stats(bundle.labelsets, bundle.m)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset": Path(data_path).stem,
+        "dataset": Path(config.data_path).stem,
         "n_samples": stats.n_samples,
         "n_features": bundle.n_features,
         "n_labels": stats.n_labels,
@@ -296,7 +258,7 @@ def _cmd_stats(args) -> None:
         out = "\n".join(lines) + "\n"
     else:
         out = json.dumps(doc, indent=2) + "\n"
-    _write_output(out, args.out)
+    _write_output(out, config.out_path)
 
 
 _COMMANDS = {

@@ -351,12 +351,17 @@ def _encode_array(a) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj, name: str) -> np.ndarray:
+def _decode_array(obj, name: str, shape: tuple) -> np.ndarray:
+    """Decode one stored array, which must have exactly the given shape."""
     try:
-        shape = tuple(int(s) for s in obj["shape"])
+        stored = tuple(int(s) for s in obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"model array {name!r} is malformed: {err}") from err
+    if stored != shape:
+        raise ModelFormatError(
+            f"model array {name!r} has shape {list(stored)}, "
+            f"expected {list(shape)} from the file header")
     flat = np.frombuffer(raw, dtype="<f8")
     if flat.size != math.prod(shape):
         raise ModelFormatError(
@@ -435,27 +440,45 @@ def load_model(path) -> LoadedModel:
     if stored != _checksum(body):
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
 
-    arrays = doc["arrays"]
-    W = _decode_array(arrays["W"], "W")
-    b = _decode_array(arrays["b"], "b")
-    beta = _decode_array(arrays["beta"], "beta")
-    M = _decode_array(arrays["M"], "M")
-    params = ElmParams(W=W, b=b, activation=Activation(doc["activation"]),
-                       n_features=int(doc["n_features"]),
-                       n_hidden=int(doc["n_hidden"]))
+    # the checksum proves only that the body was not edited by accident;
+    # the structure is checked field by field before any array is used
+    try:
+        activation = Activation(doc["activation"])
+        n_features, n_hidden, n_labels = (
+            int(doc[k]) for k in ("n_features", "n_hidden", "n_labels"))
+        samples_seen = int(doc["samples_seen"])
+        ridge = float(doc["ridge"])
+        threshold = doc.get("threshold")
+        threshold = None if threshold is None else float(threshold)
+        seed = doc.get("seed")
+        seed = None if seed is None else int(seed)
+        arrays = doc["arrays"]
+    except KeyError as err:
+        raise ModelFormatError(f"{path}: missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"{path}: malformed header: {err}") from err
+    if min(n_features, n_hidden, n_labels) < 1:
+        raise ModelFormatError(
+            f"{path}: dimensions must be >= 1, got n_features={n_features}, "
+            f"n_hidden={n_hidden}, n_labels={n_labels}")
+    if not isinstance(arrays, dict):
+        raise ModelFormatError(f"{path}: field 'arrays' is not an object")
+
+    W = _decode_array(arrays.get("W"), "W", (n_hidden, n_features))
+    b = _decode_array(arrays.get("b"), "b", (n_hidden,))
+    beta = _decode_array(arrays.get("beta"), "beta", (n_hidden, n_labels))
+    M = _decode_array(arrays.get("M"), "M", (n_hidden, n_hidden))
+    params = ElmParams(W=W, b=b, activation=activation,
+                       n_features=n_features, n_hidden=n_hidden)
     state = OselmState(beta=beta.copy(), M=M.copy(),
-                       samples_seen=int(doc["samples_seen"]),
-                       ridge_used=float(doc["ridge"]))
+                       samples_seen=samples_seen, ridge_used=ridge)
     norm_stats = None
-    if arrays.get("norm_min") is not None:
-        norm_stats = NormStats(min_=_decode_array(arrays["norm_min"], "norm_min"),
-                               max_=_decode_array(arrays["norm_max"], "norm_max"))
-    threshold = doc.get("threshold")
-    threshold = None if threshold is None else float(threshold)
-    seed = doc.get("seed")
+    if arrays.get("norm_min") is not None or arrays.get("norm_max") is not None:
+        norm_stats = NormStats(
+            min_=_decode_array(arrays.get("norm_min"), "norm_min", (n_features,)),
+            max_=_decode_array(arrays.get("norm_max"), "norm_max", (n_features,)))
     return LoadedModel(params=params, state=state, threshold=threshold,
-                       norm_stats=norm_stats,
-                       seed=None if seed is None else int(seed))
+                       norm_stats=norm_stats, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from streamlabel import RunConfig, load_dataset, save_model, train_stream
+from streamlabel import (RunConfig, harness, load_dataset, save_model,
+                         train_stream)
 from streamlabel.cli import main
 
 from conftest import synthetic_bundle
 
 
-@pytest.fixture
-def synth_csv(tmp_path):
-    bundle = synthetic_bundle(260, 6, 3, seed=50)
+def _write_csv(bundle, path):
     header = list(bundle.feature_names) + list(bundle.label_names)
     lines = [",".join(header)]
     for i in range(bundle.n_samples):
@@ -19,9 +18,14 @@ def synth_csv(tmp_path):
         labs = ["1" if j in bundle.labelsets[i] else "0"
                 for j in range(bundle.m)]
         lines.append(",".join(feats + labs))
-    path = tmp_path / "synth.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def synth_csv(tmp_path):
+    return _write_csv(synthetic_bundle(260, 6, 3, seed=50),
+                      tmp_path / "synth.csv")
 
 
 RUN_FLAGS = ["--format", "csv", "--labels", "3", "--n-train", "200",
@@ -232,3 +236,71 @@ def test_eval_min_one_comes_from_defaults(tmp_path, capsys):
     assert main(base + ["--defaults", "medical"]) == 0
     merged = json.loads(capsys.readouterr().out)
     assert merged["metrics"]["hamming_loss"] == pytest.approx(2.0 / 3.0)
+
+
+def test_stream_requires_n_train(synth_csv, capsys):
+    code = main(["stream", "--data", synth_csv, "--format", "csv",
+                 "--labels", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "n_train" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "stats"])
+def test_seed_flag_only_on_run_commands(synth_csv, tmp_path, capsys, command):
+    argv = [command, "--data", synth_csv, "--format", "csv", "--labels", "3",
+            "--seed", "1"]
+    if command == "eval":
+        # never read: argument parsing fails first
+        argv += ["--model", str(tmp_path / "model.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_stats_explicit_labels_win_over_defaults(synth_csv, capsys):
+    # the medical profile ships 45 labels; the flag asks for 3
+    code = main(["stats", "--defaults", "medical", "--data", synth_csv,
+                 "--format", "csv", "--labels", "3"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_labels"] == 3
+    assert doc["dataset"] == "synth"
+
+
+def test_eval_rejects_label_space_mismatch(synth_csv, tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    main(["train", "--data", synth_csv, "--out", str(model_path)] + RUN_FLAGS)
+    capsys.readouterr()
+    wide = _write_csv(synthetic_bundle(120, 6, 5, seed=51),
+                      tmp_path / "wide.csv")
+    code = main(["eval", "--model", str(model_path), "--data", wide,
+                 "--format", "csv", "--labels", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "3 labels" in err and "has 5" in err
+
+
+def test_stream_runs_through_harness_names(synth_csv, monkeypatch, capsys):
+    # the benchmark's probes (perfbench/measure.py) wrap these three
+    # module attributes; the stream command must reach each through harness
+    calls = {"train_stream": 0, "predict_sets": 0, "update_chunk": 0}
+
+    def counting(name):
+        inner = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    assert main(["stream", "--data", synth_csv] + RUN_FLAGS) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert calls["train_stream"] == 1
+    assert calls["predict_sets"] == 1
+    assert calls["update_chunk"] == doc["timing"]["n_epochs"]

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamlabel import (ConfigError, ModelFormatError, RunConfig, cv_folds,
-                         emit_report, init_params, init_phase, load_dataset,
+from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
+                         cv_folds, emit_report, harness, init_params,
+                         init_phase, load_dataset,
                          load_dataset_defaults, load_model, predict_raw,
                          predict_sets, run_cv_bundle, run_stream,
                          run_stream_split, save_model, split, train_stream,
@@ -224,6 +225,59 @@ def test_model_rejects_non_model_json(tmp_path):
         load_model(path)
     path.write_text("not json at all")
     with pytest.raises(ModelFormatError, match="JSON"):
+        load_model(path)
+
+
+def _set_array(name, a):
+    def edit(doc):
+        doc["arrays"][name] = harness._encode_array(a)
+    return edit
+
+
+def _set_field(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_b_shape(doc):
+    # 20 values, so only the negative shape itself is wrong
+    doc["arrays"]["b"] = dict(harness._encode_array(np.zeros(20)),
+                              shape=[-1, -20])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("arrays"),
+    lambda doc: doc.pop("n_hidden"),
+    lambda doc: doc["arrays"].pop("M"),
+    _set_field("activation", "tanh"),
+    _set_field("n_labels", 3),
+    _set_field("n_features", 0),
+    _set_array("W", np.zeros((6, 5))),
+    _set_array("beta", np.zeros((5, 2))),
+    _set_array("M", np.zeros((6, 5))),
+    _set_array("norm_min", np.zeros(3)),
+    _set_array("norm_max", np.zeros(5)),
+    _set_b_shape,
+    lambda doc: doc["arrays"].update(norm_max=None),
+], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
+        "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
+        "norm_max-long", "b-negative-shape", "norm_max-missing"])
+def test_model_structure_checked_behind_valid_checksum(tmp_path, edit):
+    # the checksum can be recomputed by anyone, so each structural fault
+    # must still be a ModelFormatError when the checksum matches
+    params = init_params(4, 6, seed=7)
+    rng = np.random.default_rng(8)
+    state = init_phase(params, rng.uniform(size=(12, 4)),
+                       np.where(rng.integers(0, 2, (12, 2)) == 1, 1.0, -1.0))
+    path = tmp_path / "model.json"
+    save_model(params, state, 0.0, NormStats(np.zeros(4), np.ones(4)), path)
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    doc["checksum"] = harness._checksum(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
         load_model(path)
 
 
