@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .numerics import make_rng, pinv_normal, rand_uniform
 
@@ -51,7 +50,12 @@ def init_params(n_features: int, n_hidden: int, seed: int,
 
 
 def hidden_map(params: ElmParams, X) -> np.ndarray:
-    """Hidden-layer feature matrix H: H[j, i] = sigmoid(w_i . x_j + b_i)."""
+    """Hidden-layer feature matrix H: H[j, i] = sigmoid(w_i . x_j + b_i).
+
+    The sigmoid is 1 / (1 + exp(-t)), computed in the result's own memory,
+    so no second (n, n_hidden) array is made. exp(-t) overflows to inf for
+    t below about -709, which gives exactly 0.0; NaN stays NaN.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
@@ -61,10 +65,13 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
             f"hidden layer expects {params.n_features}")
     if params.activation is not Activation.SIGMOID:
         raise ValueError(f"unsupported activation {params.activation!r}")
-    # bias and sigmoid in place: no second (n, n_hidden) array
     H = X @ params.W.T
-    H += params.b
-    return expit(H, out=H)
+    # -b - H rounds to exactly -(H + b): rounding is symmetric about zero
+    np.subtract(-params.b, H, out=H)
+    with np.errstate(over="ignore"):
+        np.exp(H, out=H)
+    H += 1.0
+    return np.reciprocal(H, out=H)
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:

@@ -6,18 +6,18 @@ a single sample is a chunk of one. For any chunking of the stream, the final
 weights match a batch least-squares fit over all samples seen, up to
 rounding.
 
-A chunk of c rows Hc costs one product T = Hc M, one c x c Cholesky factor
-F F' = I + T Hc', one triangular solve U = F^-1 T and one symmetric
-rank-c downdate M -= U'U, and no M-sized temporary: M is downdated in its
-own memory, so a caller holding a reference to ``state.M`` sees it change
-and should snapshot it with ``.copy()``. The downdate writes one triangle,
-which is then copied onto the other, so M stays exactly symmetric. The
-output weights take the gain form beta += U'F^-1 (Yc - Hc beta), so no
+A chunk of c rows Hc costs one symmetric product T = Hc M, one c x c
+Cholesky factor F F' = I + T Hc', one triangular solve U = F^-1 T and one
+symmetric rank-c downdate M -= U'U, and no M-sized temporary or copy: M is
+downdated in its own memory, so a caller holding a reference to ``state.M``
+sees it change and should snapshot it with ``.copy()``. While streaming, M
+is kept as its lower triangle only: the product reads that triangle and the
+downdate writes it, and the upper triangle is filled in, once, when
+``state.M`` is next read, so every M a caller sees is exactly symmetric.
+The output weights take the gain form beta += U'F^-1 (Yc - Hc beta), so no
 second pass over M is needed; a caller that already holds the chunk's
 scores Hc beta passes them as ``scores=`` and they are not recomputed.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
@@ -26,22 +26,43 @@ from .elm import ElmParams, hidden_map
 from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
 
 
-@dataclass
 class OselmState:
     """Mutable sequential-training state.
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
     the accumulated hidden-feature Gram matrix. Updates write M in place
-    (snapshot it with ``.copy()`` to keep an old value) and copy its lower
-    triangle onto the upper one, so M stays exactly symmetric. beta is
-    replaced by a new array on each update.
-    Single-writer: never update one state from two threads.
+    (snapshot it with ``.copy()`` to keep an old value) and keep only its
+    lower triangle current; reading ``state.M`` copies that triangle onto
+    the upper one in place, once per update, so the array returned is
+    always the same object and exactly symmetric. Assigning ``state.M``
+    stores the array as given. beta is replaced by a new array on each
+    update.
+    Single-writer: never update or read one state from two threads.
     """
 
-    beta: np.ndarray
-    M: np.ndarray
-    samples_seen: int
-    ridge_used: float
+    def __init__(self, beta: np.ndarray, M: np.ndarray, samples_seen: int,
+                 ridge_used: float):
+        self.beta = beta
+        self.M = M
+        self.samples_seen = samples_seen
+        self.ridge_used = ridge_used
+
+    @property
+    def M(self) -> np.ndarray:
+        if self._upper_stale:
+            mirror_lower(self._M)
+            self._upper_stale = False
+        return self._M
+
+    @M.setter
+    def M(self, value: np.ndarray) -> None:
+        self._M = value
+        self._upper_stale = False
+
+    def __repr__(self) -> str:
+        return (f"OselmState(beta={self.beta!r}, M={self.M!r}, "
+                f"samples_seen={self.samples_seen!r}, "
+                f"ridge_used={self.ridge_used!r})")
 
 
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
@@ -128,9 +149,11 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     if Yc.shape != (c, m):
         raise ValueError(
             f"chunk target shape {Yc.shape} does not match ({c}, {m})")
-    if state.M.shape != (L, L) or state.beta.shape[0] != L:
+    # the private array: reading state.M would fill in its stale triangle
+    M = state._M
+    if M.shape != (L, L) or state.beta.shape[0] != L:
         raise ValueError(
-            f"state shapes M {state.M.shape}, beta {state.beta.shape} do not "
+            f"state shapes M {M.shape}, beta {state.beta.shape} do not "
             f"match n_hidden={L}")
     for name, A in (("Xc", Xc), ("Yc", Yc), ("Hc", Hc)):
         _check_finite(name, A)
@@ -144,13 +167,14 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
                 f"({c}, {m})")
         _check_finite("scores", scores)
 
-    M = state.M
     if not (M.dtype == np.float64 and M.flags.c_contiguous
             and M.flags.writeable):
         # BLAS below writes into M.T; f2py would write through a read-only
         # flag, and it copies any other layout
         M = np.array(M, dtype=np.float64, order="C")
-    T = Hc @ M
+    # M.T is an F-ordered view of M; dsymm reads only its upper triangle,
+    # which is M's lower one, the only triangle the downdate keeps current
+    T = blas.dsymm(1.0, M.T, Hc.T, side=0, lower=0).T
     K = np.eye(c) + T @ Hc.T
     # Hc M Hc' is symmetric only up to roundoff; enforce it before factoring
     K = 0.5 * (K + K.T)
@@ -167,11 +191,12 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     w = blas.dtrsm(1.0, F, residual.T, side=1, lower=1, trans_a=1,
                    overwrite_b=1).T
 
-    # All checks passed. M is symmetric, so its F-ordered view M.T is M
-    # itself; dsyrk writes M - U'U into one triangle of that memory.
-    M = blas.dsyrk(-1.0, Ut, beta=1.0, c=M.T, overwrite_c=1).T
-    mirror_lower(M)
-    state.M = M
+    # All checks passed. dsyrk writes M - U'U into the upper triangle of
+    # the F-ordered view M.T, in M's own memory: M's lower triangle is
+    # current and its upper one stale until state.M is read.
+    blas.dsyrk(-1.0, Ut, beta=1.0, c=M.T, overwrite_c=1)
+    state._M = M
+    state._upper_stale = True
     state.beta = state.beta + Ut @ w
     state.samples_seen += c
     return state

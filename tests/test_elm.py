@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,10 +91,24 @@ def test_hidden_map_range_and_shape():
 
 
 def test_hidden_map_is_bit_identical_to_expression():
-    from scipy.special import expit
     p = init_params(50, 40, seed=8)
     X = np.random.default_rng(9).normal(size=(30, 50))
-    assert np.array_equal(hidden_map(p, X), expit(X @ p.W.T + p.b))
+    want = 1.0 / (1.0 + np.exp(-(X @ p.W.T + p.b)))
+    assert np.array_equal(hidden_map(p, X), want)
+
+
+def test_hidden_map_sigmoid_limits():
+    t = np.array([[-800.0], [-40.0], [40.0], [800.0], [np.nan]])
+    p = ElmParams(W=np.ones((1, 1)), b=np.zeros(1),
+                  activation=Activation.SIGMOID, n_features=1, n_hidden=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = hidden_map(p, t)[:, 0]
+    # exp(800) overflows to inf and exp(-800) underflows to 0
+    assert H[0] == 0.0 and H[3] == 1.0
+    assert H[1] == 1.0 / (1.0 + np.exp(40.0))
+    assert H[2] == 1.0 / (1.0 + np.exp(-40.0))
+    assert math.isnan(H[4])
 
 
 def test_hidden_map_holds_one_result_sized_array():

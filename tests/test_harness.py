@@ -190,6 +190,27 @@ def test_model_round_trip_predictions(tmp_path):
     assert np.array_equal(loaded.norm_stats.min_, model.norm_stats.min_)
 
 
+def test_saved_m_is_symmetric_and_resumes_like_streaming(tmp_path):
+    # n_hidden 70 crosses the 64-row block of the triangle copy
+    bundle = synthetic_bundle(300, 6, 3, seed=39)
+    model = train_stream(_config(n_hidden=70, n_init=100, chunk_size=9),
+                         bundle)
+    path = tmp_path / "model.json"
+    save_model(model.params, model.state, model.threshold, model.norm_stats,
+               path)
+    loaded = load_model(path)
+    assert np.array_equal(loaded.state.M, loaded.state.M.T)
+    rng = np.random.default_rng(40)
+    X = rng.uniform(0.0, 1.0, size=(60, 6))
+    Y = np.where(rng.random((60, 3)) < 0.3, 1.0, -1.0)
+    for start in range(0, 60, 9):
+        for state in (model.state, loaded.state):
+            update_chunk(state, model.params, X[start:start + 9],
+                         Y[start:start + 9])
+    assert np.max(np.abs(loaded.state.beta - model.state.beta)) <= 1e-12
+    assert np.max(np.abs(loaded.state.M - model.state.M)) <= 1e-12
+
+
 def test_model_version_tamper_detected(tmp_path):
     params = init_params(4, 6, seed=1)
     rng = np.random.default_rng(2)
@@ -391,3 +412,47 @@ def test_train_stream_calls_update_chunk_once_per_epoch(monkeypatch):
         assert args[1] is model.params
         assert args[2].shape[0] == args[3].shape[0]
     assert sum(args[2].shape[0] for args in calls) == 400 - 100
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, 300])
+def test_train_stream_maps_whole_chunks_in_blocks(monkeypatch, chunk):
+    import streamlabel.harness as harness
+    real_map, real_update = harness.hidden_map, harness.update_chunk
+    mapped, updated = [], []
+
+    def counting_map(params, X):
+        mapped.append(X)
+        return real_map(params, X)
+
+    def counting_update(*args, **kwargs):
+        updated.append(args[2])
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "hidden_map", counting_map)
+    monkeypatch.setattr(harness, "update_chunk", counting_update)
+    bundle = synthetic_bundle(1000, 6, 3, seed=41)
+    config = _config(n_hidden=20, n_init=100, chunk_size=chunk)
+    model = train_stream(config, bundle)
+
+    # every streamed row is mapped once, in order
+    assert np.array_equal(np.concatenate(mapped), np.concatenate(updated))
+    assert sum(len(X) for X in mapped) == 1000 - 100
+    block_rows = max(1, harness._MAP_ROWS // chunk) * chunk
+    assert len(mapped) == math.ceil((1000 - 100) / block_rows)
+    # every map call starts and ends on a chunk boundary
+    chunk_ends = set(np.cumsum([len(X) for X in updated]).tolist())
+    map_ends = set(np.cumsum([len(X) for X in mapped]).tolist())
+    assert map_ends <= chunk_ends
+
+    # the same stream, one hidden map per chunk
+    norm = harness.normalize_apply(harness.normalize_fit(bundle), bundle)
+    targets = np.where(harness.label_matrix(norm.labelsets, norm.m), 1.0, -1.0)
+    params = init_params(6, 20, config.seed)
+    state = init_phase(params, norm.X[:100], targets[:100])
+    for start in range(100, 1000, chunk):
+        Xc = norm.X[start:start + chunk]
+        real_update(state, params, Xc, targets[start:start + chunk],
+                    Hc=real_map(params, Xc))
+    rel = (np.linalg.norm(model.state.beta - state.beta)
+           / np.linalg.norm(state.beta))
+    assert rel <= 1e-9

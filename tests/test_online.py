@@ -331,3 +331,31 @@ def test_bad_scores_leave_state_untouched(bad):
     assert np.array_equal(st.M, M_copy)
     assert np.array_equal(st.beta, beta)
     assert st.samples_seen == 50
+
+
+def test_m_is_mirrored_once_when_read(monkeypatch):
+    import streamlabel.online as online
+    p = init_params(8, 70, seed=40)
+    X, Y = _stream(41, n=200)
+    st = init_phase(p, X[:100], Y[:100])
+    M = st.M
+    real = online.mirror_lower
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        real(A)
+
+    monkeypatch.setattr(online, "mirror_lower", counting)
+    for start in range(100, 200, 25):
+        update_chunk(st, p, X[start:start + 25], Y[start:start + 25])
+    assert calls == []  # the updates keep one triangle and copy nothing
+    first = st.M
+    assert len(calls) == 1 and calls[0] is first
+    assert st.M is first and len(calls) == 1
+    assert first is M
+    assert np.array_equal(first, first.T)
+    snapshot = first.copy()
+    update_chunk(st, p, X[:25], Y[:25])
+    st.M = snapshot  # assigning drops the pending copy: M is stored as given
+    assert st.M is snapshot and len(calls) == 1
