@@ -19,12 +19,12 @@ from .harness import (ConfigError, CvReport, LoadedModel, ModelFormatError,
                       run_stream_split, save_model, train_stream,
                       validate_config)
 from .labels import (DatasetStats, ThresholdCalib, calibrate_chunk,
-                     calibrate_update, dataset_stats, decode, decode_rows,
-                     encode_bipolar, label_matrix, threshold_value)
+                     dataset_stats, decode_rows, label_matrix,
+                     threshold_value)
 from .metrics import MetricsReport, evaluate
 from .numerics import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
-                       make_rng, pinv_normal, rand_uniform, solve_spd)
-from .online import OselmState, init_phase, update_chunk, update_sample
+                       make_rng, rand_uniform)
+from .online import OselmState, init_phase, update_chunk
 
 __version__ = "0.1.0"
 
@@ -34,13 +34,11 @@ __all__ = [
     "LoadedModel", "MetricsReport", "ModelFormatError", "NormStats",
     "OselmState", "RunConfig", "RunReport", "SingularMatrixError",
     "ThresholdCalib", "TrainedModel", "batch_train", "calibrate_chunk",
-    "calibrate_update", "cholesky_spd", "cv_folds", "dataset_stats",
-    "decode", "decode_rows", "emit_report", "encode_bipolar", "evaluate",
-    "hidden_map", "init_params", "init_phase", "label_matrix", "load_dataset",
-    "load_dataset_defaults", "load_model", "make_rng", "normalize_apply",
-    "normalize_fit", "pinv_normal", "predict_raw", "predict_sets",
-    "rand_uniform", "run_cv", "run_cv_bundle", "run_stream",
-    "run_stream_split", "save_model", "solve_spd", "split", "take_rows",
-    "threshold_value", "train_stream", "update_chunk", "update_sample",
-    "validate_config",
+    "cholesky_spd", "cv_folds", "dataset_stats", "decode_rows",
+    "emit_report", "evaluate", "hidden_map", "init_params", "init_phase",
+    "label_matrix", "load_dataset", "load_dataset_defaults", "load_model",
+    "make_rng", "normalize_apply", "normalize_fit", "predict_raw",
+    "predict_sets", "rand_uniform", "run_cv", "run_cv_bundle", "run_stream",
+    "run_stream_split", "save_model", "split", "take_rows",
+    "threshold_value", "train_stream", "update_chunk", "validate_config",
 ]

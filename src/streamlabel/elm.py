@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .numerics import make_rng, pinv_normal, rand_uniform
+from .numerics import SingularMatrixError, cholesky_spd, make_rng, rand_uniform
 
 
 class Activation(str, Enum):
@@ -75,17 +76,29 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
-    """Least-squares output weights: beta = pinv(H) @ Y_bip.
+    """Least-squares output weights: beta = (H'H + ridge*I)^-1 H'Y_bip.
 
-    Minimizes the Frobenius residual ||H beta - Y||. With ridge 0, H must
-    have full column rank (typically n_samples >= n_hidden).
+    One checked Cholesky factor of the normal equations. With ridge 0, H
+    must have full column rank (typically n_samples >= n_hidden); rank
+    deficiency raises SingularMatrixError instead of silently regularizing.
     """
+    if ridge < 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     Y_bip = np.asarray(Y_bip, dtype=np.float64)
     H = hidden_map(params, X)
     if Y_bip.ndim != 2 or Y_bip.shape[0] != H.shape[0]:
         raise ValueError(
             f"target shape {Y_bip.shape} does not match {H.shape[0]} samples")
-    return pinv_normal(H, ridge) @ Y_bip
+    gram = H.T @ H
+    gram[np.diag_indices_from(gram)] += ridge
+    try:
+        factor = cholesky_spd(gram, "batch_train")
+    except SingularMatrixError as err:
+        raise SingularMatrixError(
+            f"batch_train: H'H is singular (pivot {err.pivot}); "
+            "H is rank deficient, pass ridge > 0 or add rows",
+            pivot=err.pivot) from err
+    return lapack.dpotrs(factor, H.T @ Y_bip, lower=1)[0]
 
 
 def predict_raw(params: ElmParams, beta, X) -> np.ndarray:

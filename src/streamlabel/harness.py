@@ -375,6 +375,8 @@ def _decode_array(obj, name: str, shape: tuple) -> np.ndarray:
         raise ModelFormatError(
             f"model array {name!r} has {flat.size} values, "
             f"expected {math.prod(shape)}")
+    if not np.isfinite(flat).all():
+        raise ModelFormatError(f"model array {name!r} has a NaN or inf value")
     a = flat.reshape(shape).astype(np.float64)
     a.setflags(write=False)
     return a
@@ -465,6 +467,9 @@ def load_model(path) -> LoadedModel:
         raise ModelFormatError(f"{path}: missing field {err}") from err
     except (TypeError, ValueError) as err:
         raise ModelFormatError(f"{path}: malformed header: {err}") from err
+    for key, value in (("ridge", ridge), ("threshold", threshold)):
+        if value is not None and not math.isfinite(value):
+            raise ModelFormatError(f"{path}: field {key!r} is {value}")
     if min(n_features, n_hidden, n_labels) < 1:
         raise ModelFormatError(
             f"{path}: dimensions must be >= 1, got n_features={n_features}, "

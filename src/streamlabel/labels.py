@@ -6,8 +6,8 @@ many sets become one (n, m) bool membership matrix (label_matrix), which
 gives the +/-1 targets (a zero threshold separates membership) and feeds
 the threshold calibration a whole chunk at a time (calibrate_chunk). The
 calibrated threshold sharpens that split from raw scores seen in training;
-decode_rows turns a score matrix back into label sets. The one-row
-functions encode_bipolar, calibrate_update and decode wrap these.
+decode_rows turns a score matrix back into label sets. A single sample is a
+one-row matrix: label_matrix([s], m), decode_rows(y[None], t)[0].
 """
 
 from dataclasses import dataclass
@@ -63,11 +63,6 @@ def label_matrix(labelsets, m: int) -> np.ndarray:
     return Y
 
 
-def encode_bipolar(labels, m: int) -> np.ndarray:
-    """Length-m vector with +1 at member positions and -1 elsewhere."""
-    return np.where(label_matrix([frozenset(labels)], m)[0], 1.0, -1.0)
-
-
 def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
     """Fold a chunk's raw scores into the running extrema; returns calib.
 
@@ -90,15 +85,6 @@ def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
         calib.max_neg = neg if calib.max_neg is None else max(calib.max_neg, neg)
     calib.observations += y_raw.shape[0]
     return calib
-
-
-def calibrate_update(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
-    """Fold one sample's raw scores into the running extrema; returns calib."""
-    y_raw = np.asarray(y_raw, dtype=np.float64)
-    if y_raw.ndim != 1:
-        raise ValueError(f"y_raw must be a vector, got ndim={y_raw.ndim}")
-    members = label_matrix([frozenset(truth)], y_raw.shape[0])
-    return calibrate_chunk(calib, y_raw[None, :], members)
 
 
 def threshold_value(calib: ThresholdCalib) -> float:
@@ -137,14 +123,6 @@ def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
         out.append(set(members[start:end]))
         start = end
     return out
-
-
-def decode(y_raw, threshold: float, min_one: bool = False) -> set:
-    """Label set of one score vector; see decode_rows."""
-    y_raw = np.asarray(y_raw, dtype=np.float64)
-    if y_raw.ndim != 1:
-        raise ValueError(f"y_raw must be a vector, got ndim={y_raw.ndim}")
-    return decode_rows(y_raw[None, :], threshold, min_one)[0]
 
 
 def dataset_stats(labelsets, m: int) -> DatasetStats:

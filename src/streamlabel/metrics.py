@@ -10,6 +10,7 @@ Precision divides the overlap by the predicted-set size, recall by the
 true-set size; F1 is their per-sample harmonic mean, 2|inter|/(|pred|+|truth|).
 """
 
+import operator
 from dataclasses import dataclass
 
 
@@ -58,9 +59,13 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
         p = set(p)
         t = set(t)
         for i in p | t:
-            if not 0 <= int(i) < m:
-                raise ValueError(
-                    f"label index {i} outside label space of size {m}")
+            try:
+                if not 0 <= operator.index(i) < m:
+                    raise ValueError(
+                        f"label index {i} outside label space of size {m}")
+            except TypeError:
+                raise ValueError("label indices must be integers, got "
+                                 f"{type(i).__name__}") from None
         inter = len(p & t)
         hl += len(p ^ t) / m
         if not p and not t:

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: SPD solves and inverses, pseudoinverse, seeded draws.
+"""Dense matrix primitives: checked Cholesky factor, SPD inverse, seeded draws.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
 All solves and inverses go through one checked Cholesky factorization;
@@ -51,13 +51,6 @@ def rand_uniform(rng: np.random.Generator, rows: int, cols: int,
     return rng.uniform(lo, hi, size=(rows, cols))
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def mirror_lower(A) -> None:
     """Copy the strict lower triangle of square A onto the upper one, in place.
 
@@ -86,17 +79,20 @@ def cholesky_spd(A, who: str = "cholesky_spd",
                  overwrite: bool = False) -> np.ndarray:
     """Checked lower Cholesky factor of symmetric positive definite A.
 
-    A must be symmetric within 1e-9 relative; anything worse is an error,
-    not auto-symmetrized. Raises SingularMatrixError naming the offending
-    pivot when A is not numerically positive definite; ``who`` prefixes the
-    messages. The factor is F-ordered and only its lower triangle is
-    meaningful. With ``overwrite`` it may be written into A's own memory.
+    A must be finite and symmetric within 1e-9 relative; anything worse is
+    an error, not auto-symmetrized. Raises SingularMatrixError naming the
+    offending pivot when A is not numerically positive definite; ``who``
+    prefixes the messages. The factor is F-ordered and only its lower
+    triangle is meaningful. With ``overwrite`` it may be written into A's
+    own memory.
     """
-    A = _as_matrix(A, "A")
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A must be square, got shape {A.shape}")
     scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
+    if not np.isfinite(scale):
+        raise ValueError(f"{who}: matrix has a NaN or infinite entry")
     if scale > 0.0 and _asymmetry(A) > _SYM_RTOL * scale:
         raise ValueError("A is not symmetric within 1e-9 relative tolerance")
 
@@ -119,35 +115,15 @@ def cholesky_spd(A, who: str = "cholesky_spd",
     return factor
 
 
-def solve_spd(A, B) -> np.ndarray:
-    """Solve A @ X = B for symmetric positive definite A via Cholesky.
-
-    A must be symmetric within 1e-9 relative; anything worse is an error,
-    not auto-symmetrized. Raises SingularMatrixError naming the offending
-    pivot when A is not numerically positive definite.
-    """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    if B.shape[0] != A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: A is {A.shape[0]}x{A.shape[0]} "
-            f"but B has {B.shape[0]} rows")
-    factor = cholesky_spd(A, "solve_spd")
-    x, info = lapack.dpotrs(factor, B, lower=1)
-    if info != 0:
-        raise ValueError(f"solve_spd: triangular solve failed (info={info})")
-    return x
-
-
 def inv_spd(A) -> np.ndarray:
     """Inverse of symmetric positive definite A from one checked Cholesky factor.
 
-    Same checks and errors as solve_spd. The result is C-ordered and exactly
+    Same checks and errors as cholesky_spd. The result is C-ordered and exactly
     symmetric. A writeable C-ordered float64 A is overwritten: the inverse is
     computed in its memory (and A holds garbage if a check fails). Any other
     A is copied first and left alone.
     """
-    A = _as_matrix(A, "A")
+    A = np.asarray(A, dtype=np.float64)
     if not (A.flags.c_contiguous and A.flags.writeable):
         A = np.array(A, order="C")
     # A is symmetric, so its F-ordered view A.T is the same matrix and LAPACK
@@ -159,24 +135,3 @@ def inv_spd(A) -> np.ndarray:
     # the inverse fills the lower triangle of the F-ordered result
     mirror_lower(inv)
     return inv.T
-
-
-def pinv_normal(H, ridge: float = 0.0) -> np.ndarray:
-    """Left pseudoinverse (H'H + ridge*I)^-1 H' of a full-column-rank H.
-
-    With ridge 0 the input must have full column rank; rank deficiency
-    raises SingularMatrixError instead of silently regularizing.
-    """
-    H = _as_matrix(H, "H")
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    gram = H.T @ H
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(H.shape[1])
-    try:
-        return solve_spd(gram, H.T)
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"pinv_normal: H'H is singular (pivot {err.pivot}); "
-            "H is rank deficient, pass ridge > 0 or add rows",
-            pivot=err.pivot) from err

@@ -97,21 +97,6 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
                       ridge_used=float(ridge))
 
 
-def update_sample(state: OselmState, params: ElmParams, x, y_bip) -> OselmState:
-    """Update for one sample: update_chunk on a chunk of one row."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y_bip, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.n_features:
-        raise ValueError(
-            f"x must be a vector of {params.n_features} features, "
-            f"got shape {x.shape}")
-    if y.ndim != 1 or y.shape[0] != state.beta.shape[1]:
-        raise ValueError(
-            f"y must be a vector of {state.beta.shape[1]} labels, "
-            f"got shape {y.shape}")
-    return update_chunk(state, params, x[None, :], y[None, :])
-
-
 def _check_finite(name: str, A) -> None:
     finite_rows = np.isfinite(A).all(axis=1)
     if not finite_rows.all():
@@ -130,8 +115,9 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     the matrix-inversion-lemma form of recursive least squares. Hc, the
     hidden-layer rows of Xc, and scores, the chunk's raw outputs Hc beta
     under the current weights, are computed here unless the caller passes
-    them. Every check runs before the state is touched, so an update that
-    raises leaves beta, M and samples_seen as they were.
+    them. A NaN or inf in the chunk, the scores, beta or M raises
+    ValueError. Every check runs before the state is touched, so an update
+    that raises leaves beta, M and samples_seen as they were.
     """
     Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
@@ -165,7 +151,7 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
             raise ValueError(
                 f"chunk scores of shape {scores.shape} do not match "
                 f"({c}, {m})")
-        _check_finite("scores", scores)
+    _check_finite("scores", scores)
 
     if not (M.dtype == np.float64 and M.flags.c_contiguous
             and M.flags.writeable):

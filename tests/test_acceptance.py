@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from streamlabel import (RunConfig, ThresholdCalib, batch_train,
-                         calibrate_update, dataset_stats, decode, emit_report,
-                         encode_bipolar, evaluate, init_params, init_phase,
-                         load_dataset, load_model, run_cv, run_stream_split,
-                         save_model, split, threshold_value, train_stream,
-                         update_chunk, update_sample)
+                         calibrate_chunk, dataset_stats, decode_rows,
+                         emit_report, evaluate, init_params, init_phase,
+                         label_matrix, load_dataset, load_model, run_cv,
+                         run_stream_split, save_model, split, threshold_value,
+                         train_stream, update_chunk)
 
 from conftest import (dataset_path, golden_run_report, random_labelsets,
                       separable_bundle, synthetic_bundle)
@@ -58,7 +58,7 @@ def test_acceptance_1_batch_sequential_equivalence(announce):
 
         per_sample = init_phase(params, X[:50], Y[:50])
         for i in range(50, 200):
-            update_sample(per_sample, params, X[i], Y[i])
+            update_chunk(per_sample, params, X[i:i + 1], Y[i:i + 1])
         worst = max(worst,
                     np.linalg.norm(per_sample.beta - beta_batch) / scale)
 
@@ -232,11 +232,12 @@ def test_acceptance_6_threshold_correctness(announce):
     shift = 2.0
     base, shifted = ThresholdCalib(), ThresholdCalib()
     for y, truth in zip(scores, truths):
-        calibrate_update(base, y, truth)
-        calibrate_update(shifted, y + shift, truth)
+        calibrate_chunk(base, y[None], label_matrix([truth], 3))
+        calibrate_chunk(shifted, (y + shift)[None], label_matrix([truth], 3))
     t0, t1 = threshold_value(base), threshold_value(shifted)
     equivariant = (t1 == t0 + shift) and all(
-        decode(y + shift, t1) == decode(y, t0) for y in scores)
+        decode_rows((y + shift)[None], t1) == decode_rows(y[None], t0)
+        for y in scores)
 
     ok = recovered and equivariant
     _verdict(announce, 6, "threshold correctness", ok,
@@ -286,16 +287,16 @@ def test_acceptance_8_persistence(announce, tmp_path):
 
     straight = init_phase(params, X[:40], Y[:40])
     for i in range(40, 220):
-        update_sample(straight, params, X[i], Y[i])
+        update_chunk(straight, params, X[i:i + 1], Y[i:i + 1])
 
     resumed = init_phase(params, X[:40], Y[:40])
     for i in range(40, 120):
-        update_sample(resumed, params, X[i], Y[i])
+        update_chunk(resumed, params, X[i:i + 1], Y[i:i + 1])
     path = tmp_path / "mid.json"
     save_model(params, resumed, None, None, path, seed=8)
     loaded = load_model(path)
     for i in range(120, 220):
-        update_sample(loaded.state, loaded.params, X[i], Y[i])
+        update_chunk(loaded.state, loaded.params, X[i:i + 1], Y[i:i + 1])
     gap = float(np.max(np.abs(loaded.state.beta - straight.beta)))
 
     golden_path = Path(__file__).parent / "data" / "golden_report.json"

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from streamlabel import (Activation, ElmParams, batch_train, hidden_map,
-                         init_params, predict_raw)
+from streamlabel import (Activation, ElmParams, SingularMatrixError,
+                         batch_train, hidden_map, init_params, predict_raw)
 
 
 def test_init_params_deterministic():
@@ -161,6 +161,45 @@ def test_batch_train_is_local_optimum():
         delta = rng.normal(size=beta.shape)
         delta *= 1e-3 / np.linalg.norm(delta)
         assert np.linalg.norm(H @ (beta + delta) - Y) >= base
+
+
+def test_batch_train_left_inverse():
+    # targets in the column space of H are fit exactly: beta recovers B
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        p = init_params(4, 3, seed=seed)
+        X = rng.uniform(size=(5, 4))
+        B = rng.normal(size=(3, 2))
+        beta = batch_train(p, X, hidden_map(p, X) @ B)
+        assert np.max(np.abs(beta - B)) <= 1e-8 * np.max(np.abs(B))
+
+
+def test_batch_train_matches_normal_equations():
+    # independent reference: an LU solve of (H'H + ridge*I) beta = H'Y
+    p = init_params(6, 10, seed=11)
+    rng = np.random.default_rng(12)
+    X = rng.uniform(size=(40, 6))
+    Y = rng.choice([-1.0, 1.0], size=(40, 3))
+    H = hidden_map(p, X)
+    for ridge in (0.0, 1e-3):
+        want = np.linalg.solve(H.T @ H + ridge * np.eye(10), H.T @ Y)
+        got = batch_train(p, X, Y, ridge=ridge)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_batch_train_rank_deficient_raises_and_ridge_recovers():
+    # a constant hidden layer gives H of rank one
+    p = ElmParams(W=np.zeros((3, 2)), b=np.zeros(3),
+                  activation=Activation.SIGMOID, n_features=2, n_hidden=3)
+    X = np.random.default_rng(13).uniform(size=(5, 2))
+    Y = np.ones((5, 2))
+    with pytest.raises(SingularMatrixError,
+                       match="rank deficient, pass ridge > 0 or add rows"):
+        batch_train(p, X, Y)
+    beta = batch_train(p, X, Y, ridge=1e-6)
+    assert np.all(np.isfinite(beta))
+    with pytest.raises(ValueError, match="ridge must be >= 0"):
+        batch_train(p, X, Y, ridge=-1.0)
 
 
 def test_predict_raw_zero_beta():

@@ -267,24 +267,36 @@ def _set_b_shape(doc):
                               shape=[-1, -20])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc.pop("arrays"),
-    lambda doc: doc.pop("n_hidden"),
-    lambda doc: doc["arrays"].pop("M"),
-    _set_field("activation", "tanh"),
-    _set_field("n_labels", 3),
-    _set_field("n_features", 0),
-    _set_array("W", np.zeros((6, 5))),
-    _set_array("beta", np.zeros((5, 2))),
-    _set_array("M", np.zeros((6, 5))),
-    _set_array("norm_min", np.zeros(3)),
-    _set_array("norm_max", np.zeros(5)),
-    _set_b_shape,
-    lambda doc: doc["arrays"].update(norm_max=None),
+@pytest.mark.parametrize("edit,match", [
+    (lambda doc: doc.pop("arrays"), None),
+    (lambda doc: doc.pop("n_hidden"), None),
+    (lambda doc: doc["arrays"].pop("M"), None),
+    (_set_field("activation", "tanh"), None),
+    (_set_field("n_labels", 3), None),
+    (_set_field("n_features", 0), None),
+    (_set_array("W", np.zeros((6, 5))), None),
+    (_set_array("beta", np.zeros((5, 2))), None),
+    (_set_array("M", np.zeros((6, 5))), None),
+    (_set_array("norm_min", np.zeros(3)), None),
+    (_set_array("norm_max", np.zeros(5)), None),
+    (_set_b_shape, None),
+    (lambda doc: doc["arrays"].update(norm_max=None), None),
+    (_set_array("W", np.full((6, 4), np.nan)), "'W'"),
+    (_set_array("b", np.full(6, np.inf)), "'b'"),
+    (_set_array("beta", np.full((6, 2), np.nan)), "'beta'"),
+    (_set_array("M", np.full((6, 6), -np.inf)), "'M'"),
+    (_set_array("norm_min", np.full(4, np.nan)), "'norm_min'"),
+    (_set_array("norm_max", np.full(4, np.inf)), "'norm_max'"),
+    (_set_field("threshold", math.nan), "'threshold'"),
+    (_set_field("threshold", -math.inf), "'threshold'"),
+    (_set_field("ridge", math.nan), "'ridge'"),
+    (_set_field("ridge", math.inf), "'ridge'"),
 ], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
         "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
-        "norm_max-long", "b-negative-shape", "norm_max-missing"])
-def test_model_structure_checked_behind_valid_checksum(tmp_path, edit):
+        "norm_max-long", "b-negative-shape", "norm_max-missing", "W-nan",
+        "b-inf", "beta-nan", "M-inf", "norm_min-nan", "norm_max-inf",
+        "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf"])
+def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
     # the checksum can be recomputed by anyone, so each structural fault
     # must still be a ModelFormatError when the checksum matches
     params = init_params(4, 6, seed=7)
@@ -298,7 +310,7 @@ def test_model_structure_checked_behind_valid_checksum(tmp_path, edit):
     edit(doc)
     doc["checksum"] = harness._checksum(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=match):
         load_model(path)
 
 

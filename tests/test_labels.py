@@ -4,40 +4,44 @@ import random
 import numpy as np
 import pytest
 
-from streamlabel import (ThresholdCalib, calibrate_chunk, calibrate_update,
-                         dataset_stats, decode, decode_rows, encode_bipolar,
-                         evaluate, label_matrix, threshold_value)
+from streamlabel import (ThresholdCalib, calibrate_chunk, dataset_stats,
+                         decode_rows, evaluate, label_matrix, threshold_value)
+
+
+def _bipolar(labelsets, m):
+    # the +/-1 targets a run trains on
+    return np.where(label_matrix(labelsets, m), 1.0, -1.0)
 
 
 def test_encode_empty_set():
-    assert np.array_equal(encode_bipolar(set(), 3), np.array([-1.0, -1.0, -1.0]))
+    assert np.array_equal(_bipolar([set()], 3), [[-1.0, -1.0, -1.0]])
 
 
 def test_encode_hand_case():
-    assert np.array_equal(encode_bipolar({0, 2}, 3), np.array([1.0, -1.0, 1.0]))
+    assert np.array_equal(_bipolar([{0, 2}], 3), [[1.0, -1.0, 1.0]])
 
 
 def test_encode_full_set():
-    assert np.array_equal(encode_bipolar({0, 1, 2, 3}, 4), np.ones(4))
+    assert np.array_equal(_bipolar([{0, 1, 2, 3}], 4), np.ones((1, 4)))
 
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(ValueError):
-        encode_bipolar({3}, 3)
+        label_matrix([{3}], 3)
     with pytest.raises(ValueError):
-        encode_bipolar({-1}, 3)
+        label_matrix([{-1}], 3)
 
 
 def test_decode_encode_round_trip_exhaustive():
     # every one of the 2^4 subsets survives encode->decode at threshold 0
-    for bits in itertools.product((0, 1), repeat=4):
-        s = {i for i, v in enumerate(bits) if v}
-        assert decode(encode_bipolar(s, 4), 0.0) == s
+    sets = [{i for i, v in enumerate(bits) if v}
+            for bits in itertools.product((0, 1), repeat=4)]
+    assert decode_rows(_bipolar(sets, 4), 0.0) == sets
 
 
 def test_calibrate_first_observation():
     calib = ThresholdCalib()
-    calibrate_update(calib, np.array([0.9, -0.2]), {0})
+    calibrate_chunk(calib, [[0.9, -0.2]], label_matrix([{0}], 2))
     assert calib.min_pos == 0.9
     assert calib.max_neg == -0.2
     assert calib.observations == 1
@@ -45,8 +49,8 @@ def test_calibrate_first_observation():
 
 def test_calibrate_running_extrema():
     calib = ThresholdCalib()
-    calibrate_update(calib, np.array([0.9, -0.2]), {0})
-    calibrate_update(calib, np.array([0.4, 0.5]), {1})
+    calibrate_chunk(calib, [[0.9, -0.2]], label_matrix([{0}], 2))
+    calibrate_chunk(calib, [[0.4, 0.5]], label_matrix([{1}], 2))
     assert calib.min_pos == 0.5
     assert calib.max_neg == 0.4
     assert calib.observations == 2
@@ -54,14 +58,14 @@ def test_calibrate_running_extrema():
 
 def test_calibrate_full_truth_leaves_max_neg():
     calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3, observations=1)
-    calibrate_update(calib, np.array([0.6, 0.8]), {0, 1})
+    calibrate_chunk(calib, [[0.6, 0.8]], label_matrix([{0, 1}], 2))
     assert calib.min_pos == 0.6
     assert calib.max_neg == -0.3
 
 
 def test_calibrate_empty_truth_leaves_min_pos():
     calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3, observations=1)
-    calibrate_update(calib, np.array([0.1, -0.9]), set())
+    calibrate_chunk(calib, [[0.1, -0.9]], label_matrix([set()], 2))
     assert calib.min_pos == 0.7
     assert calib.max_neg == 0.1
 
@@ -77,7 +81,7 @@ def test_calibrate_monotone_and_order_independent():
     calib = ThresholdCalib()
     prev_pos, prev_neg = np.inf, -np.inf
     for y, truth in observations:
-        calibrate_update(calib, y, truth)
+        calibrate_chunk(calib, y[None], label_matrix([truth], 4))
         if calib.min_pos is not None:
             assert calib.min_pos <= prev_pos
             prev_pos = calib.min_pos
@@ -89,7 +93,7 @@ def test_calibrate_monotone_and_order_independent():
     random.Random(9).shuffle(shuffled)
     other = ThresholdCalib()
     for y, truth in shuffled:
-        calibrate_update(other, y, truth)
+        calibrate_chunk(other, y[None], label_matrix([truth], 4))
     assert other.min_pos == calib.min_pos
     assert other.max_neg == calib.max_neg
 
@@ -110,23 +114,23 @@ def test_threshold_value_names_missing_side():
 
 
 def test_decode_hand_case():
-    assert decode(np.array([0.9, -0.3, 0.5]), 0.4) == {0, 2}
+    assert decode_rows([[0.9, -0.3, 0.5]], 0.4) == [{0, 2}]
 
 
 def test_decode_empty_allowed():
-    assert decode(np.array([0.1, 0.2]), 0.4) == set()
+    assert decode_rows([[0.1, 0.2]], 0.4) == [set()]
 
 
 def test_decode_min_one_argmax_tie_break():
-    assert decode(np.array([0.1, 0.3, 0.3]), 0.4, min_one=True) == {1}
+    assert decode_rows([[0.1, 0.3, 0.3]], 0.4, min_one=True) == [{1}]
 
 
 def test_decode_strict_inequality_at_threshold():
-    assert decode(np.array([0.4, 0.41]), 0.4) == {1}
+    assert decode_rows([[0.4, 0.41]], 0.4) == [{1}]
 
 
 def test_decode_min_one_inactive_when_nonempty():
-    assert decode(np.array([0.9, 0.1]), 0.4, min_one=True) == {0}
+    assert decode_rows([[0.9, 0.1]], 0.4, min_one=True) == [{0}]
 
 
 def test_perfect_separation_recovers_truth():
@@ -139,29 +143,25 @@ def test_perfect_separation_recovers_truth():
         truth = {i for i in range(m) if rng.random() < 0.5}
         y = np.where([i in truth for i in range(m)],
                      rng.uniform(1.0, 2.0, m), rng.uniform(-2.0, -1.0, m))
-        calibrate_update(calib, y, truth)
+        calibrate_chunk(calib, y[None], label_matrix([truth], m))
         rows.append((y, truth))
     t = threshold_value(calib)
-    preds = [decode(y, t) for y, _ in rows]
+    preds = decode_rows(np.stack([y for y, _ in rows]), t)
     report = evaluate(preds, [truth for _, truth in rows], m)
     assert report.hamming_loss == 0.0
 
 
 def test_threshold_shift_equivariance_exact():
     # dyadic scores and shift keep every float operation exact
-    scores = [np.array([0.75, -0.5, 0.25]), np.array([-0.25, 1.5, 0.5])]
-    truths = [{0}, {1, 2}]
+    scores = np.array([[0.75, -0.5, 0.25], [-0.25, 1.5, 0.5]])
+    truth = label_matrix([{0}, {1, 2}], 3)
     shift = 2.0
-    base = ThresholdCalib()
-    shifted = ThresholdCalib()
-    for y, truth in zip(scores, truths):
-        calibrate_update(base, y, truth)
-        calibrate_update(shifted, y + shift, truth)
+    base = calibrate_chunk(ThresholdCalib(), scores, truth)
+    shifted = calibrate_chunk(ThresholdCalib(), scores + shift, truth)
     t0 = threshold_value(base)
     t1 = threshold_value(shifted)
     assert t1 == t0 + shift
-    for y in scores:
-        assert decode(y + shift, t1) == decode(y, t0)
+    assert decode_rows(scores + shift, t1) == decode_rows(scores, t0)
 
 
 def test_dataset_stats_hand_case():
@@ -208,14 +208,13 @@ def test_label_matrix_rejects_non_integer_indices(bad):
         label_matrix([{0}, {bad}], 3)
 
 
-def test_label_matrix_matches_encode_bipolar():
+def test_label_matrix_matches_per_set_oracle():
     rng = np.random.default_rng(11)
     m = 9
     sets = [frozenset(np.nonzero(rng.random(m) < 0.3)[0].tolist())
             for _ in range(50)]
     Y = label_matrix(iter(sets), m)
-    assert np.array_equal(np.where(Y, 1.0, -1.0),
-                          np.stack([encode_bipolar(s, m) for s in sets]))
+    assert np.array_equal(Y, [[i in s for i in range(m)] for s in sets])
 
 
 def _fold_rows_oracle(calib, y_raw, truth):
@@ -236,7 +235,7 @@ def _fold_rows_oracle(calib, y_raw, truth):
 def test_calibrate_chunk_equals_row_by_row_fold():
     rng = np.random.default_rng(12)
     m = 6
-    chunked, oracle, rowwise = (ThresholdCalib() for _ in range(3))
+    chunked, oracle = ThresholdCalib(), ThresholdCalib()
     chunks = [rng.random((8, m)) < 0.3 for _ in range(6)]
     chunks[0][:] = False  # no positives: min_pos stays None after it
     chunks[2][:] = True   # no negatives
@@ -245,11 +244,7 @@ def test_calibrate_chunk_equals_row_by_row_fold():
         y = rng.normal(size=truth.shape)
         calibrate_chunk(chunked, y, truth)
         _fold_rows_oracle(oracle, y, truth)
-        for j in range(truth.shape[0]):
-            calibrate_update(rowwise, y[j], set(np.nonzero(truth[j])[0]))
         assert (chunked.min_pos, chunked.max_neg, chunked.observations) == \
-            (oracle.min_pos, oracle.max_neg, oracle.observations)
-        assert (rowwise.min_pos, rowwise.max_neg, rowwise.observations) == \
             (oracle.min_pos, oracle.max_neg, oracle.observations)
         if truth is chunks[0]:
             assert chunked.min_pos is None and chunked.max_neg is not None
@@ -286,7 +281,6 @@ def test_decode_rows_matches_per_row_oracle(threshold, min_one):
     got = decode_rows(raw, threshold, min_one)
     want = [_decode_oracle(row, threshold, min_one) for row in raw.tolist()]
     assert got == want
-    assert got == [decode(row, threshold, min_one) for row in raw]
     assert got[1] == ({0} if min_one else set())
 
 

@@ -144,3 +144,18 @@ def test_validation():
         evaluate([{0}], [{0}], 0)
     with pytest.raises(ValueError):
         evaluate([{4}], [{0}], 3)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", np.float64(1.0)],
+                         ids=["half", "float-one", "str", "numpy-float"])
+def test_rejects_non_integer_label_indices(bad):
+    # the same rule and wording as label_matrix
+    with pytest.raises(ValueError, match="label indices must be integers"):
+        evaluate([{bad}], [{0}], 2)
+    with pytest.raises(ValueError, match="label indices must be integers"):
+        evaluate([{0}], [{0, bad}], 2)
+
+
+def test_accepts_numpy_integer_label_indices():
+    want = evaluate([{0, 1}], [{1}], 3)
+    assert evaluate([{np.int64(0), np.int32(1)}], [{np.uint8(1)}], 3) == want

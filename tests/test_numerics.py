@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from streamlabel import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
-                         make_rng, pinv_normal, rand_uniform, solve_spd)
+                         make_rng, rand_uniform)
 from streamlabel.numerics import inv_spd, mirror_lower
+
+
+def _solve(A, B):
+    # the one solve the package makes: the checked factor and one dpotrs
+    return cho_solve((cholesky_spd(A), True), B)
 
 
 def test_solve_identity():
     B = np.arange(6.0).reshape(3, 2)
-    X = solve_spd(np.eye(3), B)
+    X = _solve(np.eye(3), B)
     assert np.allclose(X, B, atol=1e-14)
 
 
 def test_solve_diagonal():
     A = np.diag([2.0, 4.0])
-    X = solve_spd(A, np.eye(2))
+    X = _solve(A, np.eye(2))
     assert np.allclose(X, np.diag([0.5, 0.25]), atol=1e-14)
 
 
@@ -25,20 +31,20 @@ def test_solve_multiply_back():
         G = rng.normal(size=(6, 6))
         A = G.T @ G + np.eye(6)
         B = rng.normal(size=(6, 3))
-        X = solve_spd(A, B)
+        X = _solve(A, B)
         assert np.max(np.abs(A @ X - B)) <= 1e-8
 
 
 def test_solve_rejects_asymmetric():
     A = np.array([[2.0, 1.0], [0.5, 2.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        solve_spd(A, np.eye(2))
+        cholesky_spd(A)
 
 
 def test_solve_rejects_indefinite():
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(SingularMatrixError) as excinfo:
-        solve_spd(A, np.eye(2))
+        cholesky_spd(A)
     assert excinfo.value.pivot == 1
 
 
@@ -47,50 +53,14 @@ def test_solve_rejects_singular_gram():
     v = np.array([[1.0], [2.0], [3.0]])
     A = v @ v.T
     with pytest.raises(SingularMatrixError):
-        solve_spd(A, np.eye(3))
+        cholesky_spd(A)
 
 
 def test_solve_shape_checks():
-    with pytest.raises(ValueError):
-        solve_spd(np.eye(3), np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        solve_spd(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_pinv_identity():
-    assert np.allclose(pinv_normal(np.eye(4)), np.eye(4), atol=1e-12)
-
-
-def test_pinv_orthonormal_columns():
-    # for orthonormal columns the pseudoinverse is just the transpose
-    G = np.random.default_rng(3).normal(size=(3, 2))
-    Q, _ = np.linalg.qr(G)
-    assert np.allclose(pinv_normal(Q), Q.T, atol=1e-12)
-
-
-def test_pinv_left_inverse():
-    for seed in range(100):
-        H = np.random.default_rng(seed).normal(size=(5, 3))
-        P = pinv_normal(H)
-        assert P.shape == (3, 5)
-        assert np.max(np.abs(P @ H - np.eye(3))) <= 1e-8
-
-
-def test_pinv_matches_spd_solve_path():
-    # the ridge route must agree with the explicit normal-equation solve
-    rng = np.random.default_rng(11)
-    H = rng.normal(size=(8, 4))
-    for ridge in (0.0, 1e-3):
-        direct = solve_spd(H.T @ H + ridge * np.eye(4), H.T)
-        assert np.max(np.abs(pinv_normal(H, ridge) - direct)) <= 1e-12
-
-
-def test_pinv_rank_deficient_raises_and_ridge_recovers():
-    H = np.ones((5, 3))
-    with pytest.raises(SingularMatrixError):
-        pinv_normal(H)
-    P = pinv_normal(H, ridge=1e-6)
-    assert np.all(np.isfinite(P))
+    with pytest.raises(ValueError, match="square"):
+        cholesky_spd(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        cholesky_spd(np.ones(3))
 
 
 def test_rand_uniform_deterministic():
@@ -143,7 +113,7 @@ def test_inv_spd_matches_solve_in_place(n):
     G = rng.normal(size=(n, n))
     A = G.T @ G + np.eye(n)
     A = 0.5 * (A + A.T)
-    want = solve_spd(A, np.eye(n))
+    want = np.linalg.solve(A, np.eye(n))
     got = inv_spd(A)
     assert np.shares_memory(got, A)
     assert got.flags.c_contiguous
@@ -188,3 +158,6 @@ def test_cholesky_spd_factor_and_errors():
     with pytest.raises(SingularMatrixError, match=not_pd) as excinfo:
         cholesky_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), "gain")
     assert excinfo.value.pivot == 1
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gain: matrix has a NaN or inf"):
+            cholesky_spd(np.diag([1.0, bad]), "gain")

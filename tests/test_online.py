@@ -3,7 +3,7 @@ import pytest
 
 from streamlabel import (Activation, ElmParams, OselmState,
                          SingularMatrixError, batch_train, hidden_map,
-                         init_params, init_phase, update_chunk, update_sample)
+                         init_params, init_phase, update_chunk)
 
 
 def _stream(seed, n=200, d=8, m=5):
@@ -61,7 +61,7 @@ def test_update_sample_by_hand():
                   activation=Activation.SIGMOID, n_features=1, n_hidden=1)
     st = OselmState(beta=np.zeros((1, 1)), M=np.ones((1, 1)),
                     samples_seen=1, ridge_used=0.0)
-    update_sample(st, p, np.array([0.0]), np.array([1.0]))
+    update_chunk(st, p, np.array([[0.0]]), np.array([[1.0]]))
     assert abs(st.M[0, 0] - 0.8) <= 1e-15
     assert abs(st.beta[0, 0] - 0.4) <= 1e-15
     assert st.samples_seen == 2
@@ -71,11 +71,11 @@ def test_update_sample_zero_innovation():
     p = init_params(4, 6, seed=6)
     X, Y = _stream(7, n=40, d=4, m=3)
     st = init_phase(p, X[:30], Y[:30])
-    x = X[30]
-    h = hidden_map(p, x[None, :])[0]
-    y = h @ st.beta  # target chosen so the residual is exactly zero
+    x = X[30:31]
+    # target chosen so the residual is exactly zero
+    y = hidden_map(p, x) @ st.beta
     before = st.beta.copy()
-    update_sample(st, p, x, y)
+    update_chunk(st, p, x, y)
     assert np.array_equal(st.beta, before)
     assert st.samples_seen == 31
 
@@ -85,24 +85,11 @@ def test_sequential_matches_batch():
     X, Y = _stream(9)
     st = init_phase(p, X[:50], Y[:50])
     for i in range(50, 200):
-        update_sample(st, p, X[i], Y[i])
+        update_chunk(st, p, X[i:i + 1], Y[i:i + 1])
     beta = batch_train(p, X, Y)
     rel = np.linalg.norm(st.beta - beta) / np.linalg.norm(beta)
     assert rel <= 1e-6
     assert st.samples_seen == 200
-
-
-def test_chunk_of_one_matches_sample_path():
-    p = init_params(8, 10, seed=10)
-    X, Y = _stream(11, n=90)
-    a = init_phase(p, X[:50], Y[:50])
-    b = init_phase(p, X[:50], Y[:50])
-    for i in range(50, 90):
-        update_sample(a, p, X[i], Y[i])
-        update_chunk(b, p, X[i:i + 1], Y[i:i + 1])
-    assert np.max(np.abs(a.beta - b.beta)) <= 1e-12
-    assert np.max(np.abs(a.M - b.M)) <= 1e-12
-    assert a.samples_seen == b.samples_seen == 90
 
 
 def test_partition_invariance():
@@ -110,7 +97,7 @@ def test_partition_invariance():
     X, Y = _stream(13)
     per_sample = init_phase(p, X[:50], Y[:50])
     for i in range(50, 200):
-        update_sample(per_sample, p, X[i], Y[i])
+        update_chunk(per_sample, p, X[i:i + 1], Y[i:i + 1])
     chunked = init_phase(p, X[:50], Y[:50])
     i = 50
     for c in (1, 7, 32):
@@ -152,7 +139,7 @@ def test_samples_seen_accounting():
     X, Y = _stream(20)
     st = init_phase(p, X[:60], Y[:60])
     update_chunk(st, p, X[60:75], Y[60:75])
-    update_sample(st, p, X[75], Y[75])
+    update_chunk(st, p, X[75:76], Y[75:76])
     update_chunk(st, p, X[76:100], Y[76:100])
     assert st.samples_seen == 100
 
@@ -162,9 +149,9 @@ def test_update_dimension_checks():
     X, Y = _stream(22, n=60)
     st = init_phase(p, X[:50], Y[:50])
     with pytest.raises(ValueError):
-        update_sample(st, p, np.ones(3), Y[50])
+        update_chunk(st, p, np.ones((1, 3)), Y[50:51])
     with pytest.raises(ValueError):
-        update_sample(st, p, X[50], np.ones(2))
+        update_chunk(st, p, X[50:51], np.ones((1, 2)))
     with pytest.raises(ValueError):
         update_chunk(st, p, X[50:55], Y[50:54])
 
@@ -202,7 +189,7 @@ def test_rank_one_oracle_and_sample_path_match_batch():
     H = hidden_map(p, X)
     for i in range(50, 200):
         beta, M = _rank_one_oracle(beta, M, H[i], Y[i])
-        update_sample(st, p, X[i], Y[i])
+        update_chunk(st, p, X[i:i + 1], Y[i:i + 1])
     want = batch_train(p, X, Y)
     for got in (beta, st.beta):
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-6
@@ -359,3 +346,28 @@ def test_m_is_mirrored_once_when_read(monkeypatch):
     update_chunk(st, p, X[:25], Y[:25])
     st.M = snapshot  # assigning drops the pending copy: M is stored as given
     assert st.M is snapshot and len(calls) == 1
+
+
+@pytest.mark.parametrize("where,match", [
+    ("M", "update_chunk: matrix has a NaN or infinite entry"),
+    ("beta", "update_chunk: scores row 0 is not finite"),
+], ids=["M", "beta"])
+def test_non_finite_state_raises_and_leaves_state_untouched(where, match):
+    # the scores are computed by update_chunk itself, not passed in
+    p = init_params(8, 10, seed=42)
+    X, Y = _stream(43, n=60)
+    st = init_phase(p, X[:50], Y[:50])
+    if where == "M":
+        M = st.M.copy()
+        M[3, 3] = np.nan
+        st.M = M
+    else:
+        st.beta[4, 1] = np.nan
+    M = st.M
+    beta, M_copy = st.beta.copy(), st.M.copy()
+    with pytest.raises(ValueError, match=match):
+        update_chunk(st, p, X[50:55], Y[50:55])
+    assert st.M is M
+    assert np.array_equal(st.M, M_copy, equal_nan=True)
+    assert np.array_equal(st.beta, beta, equal_nan=True)
+    assert st.samples_seen == 50
