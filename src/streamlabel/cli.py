@@ -21,8 +21,8 @@ from pathlib import Path
 from .dataio import DatasetFormatError, load_dataset, split
 from .harness import (REPORT_SCHEMA_VERSION, ConfigError, ModelFormatError,
                       RunConfig, emit_report, load_dataset_defaults,
-                      load_model, predict_sets, run_cv, run_stream,
-                      save_model, train_stream, validate_config)
+                      load_model, predict_sets, run_cv_bundle,
+                      run_stream_split, save_model, train_stream)
 from .labels import dataset_stats
 from .metrics import evaluate
 from .numerics import SingularMatrixError
@@ -147,9 +147,12 @@ def _build_config(args) -> RunConfig:
             raise ConfigError("--data is required (or --defaults NAME)")
     if "label_spec" not in merged:
         raise ConfigError("--labels is required (or --defaults NAME)")
-    config = RunConfig(**merged)
-    validate_config(config)
-    return config
+    return RunConfig(**merged)
+
+
+def _load(config: RunConfig):
+    return load_dataset(config.data_path, config.data_format,
+                        config.label_spec, config.delimiter)
 
 
 def _write_output(text: str, out_path) -> None:
@@ -159,9 +162,15 @@ def _write_output(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_stream(args) -> None:
+def _cmd_report(args) -> None:
     config = _build_config(args)
-    report = run_stream(config)
+    if args.command == "stream" and config.n_train is None:
+        raise ConfigError("n_train is required for a streaming benchmark run")
+    bundle = _load(config)
+    if args.command == "cv":
+        report = run_cv_bundle(config, bundle, args.folds)
+    else:
+        report = run_stream_split(config, *split(bundle, config.n_train))
     fmt = "text" if args.text else "json"
     _write_output(emit_report(report, fmt), config.out_path)
 
@@ -170,8 +179,7 @@ def _cmd_train(args) -> None:
     config = _build_config(args)
     if not config.out_path:
         raise ConfigError("--out is required: path for the saved model file")
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
+    bundle = _load(config)
     if config.n_train is not None:
         bundle, _ = split(bundle, config.n_train)
     model = train_stream(config, bundle)
@@ -192,8 +200,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     config = _build_config(args)
     model = load_model(args.model)
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
+    bundle = _load(config)
     n_labels = model.state.beta.shape[1]
     if bundle.m != n_labels:
         raise ConfigError(
@@ -230,17 +237,9 @@ def _cmd_eval(args) -> None:
     _write_output(out, config.out_path)
 
 
-def _cmd_cv(args) -> None:
-    config = _build_config(args)
-    report = run_cv(config, args.folds)
-    fmt = "text" if args.text else "json"
-    _write_output(emit_report(report, fmt), config.out_path)
-
-
 def _cmd_stats(args) -> None:
     config = _build_config(args)
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
+    bundle = _load(config)
     stats = dataset_stats(bundle.labelsets, bundle.m)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -262,10 +261,10 @@ def _cmd_stats(args) -> None:
 
 
 _COMMANDS = {
-    "stream": _cmd_stream,
+    "stream": _cmd_report,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "cv": _cmd_cv,
+    "cv": _cmd_report,
     "stats": _cmd_stats,
 }
 
@@ -275,9 +274,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except ConfigError as err:
-        print(f"error[config]: {err}", file=sys.stderr)
-        return 2
     except DatasetFormatError as err:
         print(f"error[data]: {err}", file=sys.stderr)
         return 3
@@ -290,7 +286,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error[io]: {err}", file=sys.stderr)
         return 6
-    except ValueError as err:
+    except ValueError as err:  # a ConfigError or any other invalid value
         print(f"error[config]: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 -- keep the CLI's contract

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_rng
-
 
 class DatasetFormatError(ValueError):
     """Unreadable or malformed dataset input."""
@@ -293,17 +291,13 @@ def take_rows(bundle: DatasetBundle, indices) -> DatasetBundle:
                          label_names=bundle.label_names, source=bundle.source)
 
 
-def split(bundle: DatasetBundle, n_train: int, shuffle_seed=None):
-    """(train, test) split at n_train rows; file order unless a seed is given."""
+def split(bundle: DatasetBundle, n_train: int):
+    """(train, test) split at n_train rows, in file order."""
     n = bundle.n_samples
     if not 0 < n_train < n:
         raise ValueError(
             f"n_train must be in (0, {n}), got {n_train}")
-    if shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        order = make_rng(shuffle_seed).permutation(n)
-    return take_rows(bundle, order[:n_train]), take_rows(bundle, order[n_train:])
+    return take_rows(bundle, range(n_train)), take_rows(bundle, range(n_train, n))
 
 
 def normalize_fit(train: DatasetBundle) -> NormStats:

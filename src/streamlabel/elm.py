@@ -1,37 +1,36 @@
 """Single-hidden-layer network with a frozen random hidden layer.
 
-The hidden layer (input weights W, biases b) is drawn once from a seeded
-uniform distribution and never retrained; only the output weights are fit,
-by least squares here or recursively in :mod:`streamlabel.online`.
+The sigmoid hidden layer (input weights W, biases b) is drawn once from a
+seeded uniform distribution on [-1, 1) and never retrained; only the output
+weights are fit, by least squares here or in :mod:`streamlabel.online`.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .numerics import SingularMatrixError, cholesky_spd, make_rng, rand_uniform
-
-
-class Activation(str, Enum):
-    SIGMOID = "sigmoid"
+from .numerics import SingularMatrixError, cholesky_spd, make_rng
 
 
 @dataclass(frozen=True)
 class ElmParams:
-    """Frozen hidden layer: W is (n_hidden, n_features), b is (n_hidden,)."""
+    """Frozen sigmoid hidden layer: W (n_hidden, n_features), b (n_hidden,)."""
 
     W: np.ndarray
     b: np.ndarray
-    activation: Activation
-    n_features: int
-    n_hidden: int
+
+    @property
+    def n_hidden(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.W.shape[1]
 
 
-def init_params(n_features: int, n_hidden: int, seed: int,
-                weight_range: tuple[float, float] = (-1.0, 1.0)) -> ElmParams:
-    """Draw input weights and biases uniformly from a seeded generator.
+def init_params(n_features: int, n_hidden: int, seed: int) -> ElmParams:
+    """Draw input weights and biases uniformly on [-1, 1) from a seeded RNG.
 
     One generator feeds both W (drawn first, row-major) and b, so a seed
     fully determines the hidden layer.
@@ -40,14 +39,12 @@ def init_params(n_features: int, n_hidden: int, seed: int,
         raise ValueError(
             f"need n_features >= 1 and n_hidden >= 1, "
             f"got ({n_features}, {n_hidden})")
-    lo, hi = weight_range
     rng = make_rng(seed)
-    W = rand_uniform(rng, n_hidden, n_features, lo, hi)
-    b = rand_uniform(rng, n_hidden, 1, lo, hi)[:, 0]
+    W = rng.uniform(-1.0, 1.0, size=(n_hidden, n_features))
+    b = rng.uniform(-1.0, 1.0, size=n_hidden)
     W.setflags(write=False)
     b.setflags(write=False)
-    return ElmParams(W=W, b=b, activation=Activation.SIGMOID,
-                     n_features=n_features, n_hidden=n_hidden)
+    return ElmParams(W=W, b=b)
 
 
 def hidden_map(params: ElmParams, X) -> np.ndarray:
@@ -64,8 +61,6 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
         raise ValueError(
             f"feature dimension mismatch: X has {X.shape[1]} columns, "
             f"hidden layer expects {params.n_features}")
-    if params.activation is not Activation.SIGMOID:
-        raise ValueError(f"unsupported activation {params.activation!r}")
     H = X @ params.W.T
     # -b - H rounds to exactly -(H + b): rounding is symmetric about zero
     np.subtract(-params.b, H, out=H)

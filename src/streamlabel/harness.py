@@ -1,11 +1,11 @@
 """Benchmark driver: streaming train/eval runs, cross-validation, persistence.
 
-A streaming run is: load -> split -> normalize -> encode labels -> solve the
-initial block -> per-chunk (predict raw, fold scores into the threshold
-calibration, recursive update) -> pick threshold -> decode test set ->
-score. Training time covers the initial solve, the sequential phase and
-threshold selection; test time covers raw prediction plus decoding. Data
-loading and normalization are excluded from both.
+Runs take loaded bundles. A streaming run is: split -> normalize -> encode
+labels -> solve the initial block -> per-chunk (predict raw, fold scores
+into the threshold calibration, recursive update) -> pick threshold ->
+decode test set -> score. Training time covers the initial solve, the
+sequential phase and threshold selection; test time covers raw prediction
+plus decoding. Data loading and normalization are excluded from both.
 """
 
 import base64
@@ -19,10 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (DatasetBundle, NormStats, load_dataset, normalize_apply,
-                     normalize_fit, split, take_rows)
-from .elm import (Activation, ElmParams, hidden_map, init_params,
-                  predict_raw)
+from .dataio import (DatasetBundle, NormStats, normalize_apply, normalize_fit,
+                     take_rows)
+from .elm import ElmParams, hidden_map, init_params, predict_raw
 from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
@@ -50,9 +49,13 @@ class ModelFormatError(ValueError):
     """Model file is unreadable, unversioned, or corrupted."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a streaming run needs beyond the dataset file itself."""
+    """Everything a streaming run needs beyond the dataset file itself.
+
+    Checked when built (and by dataclasses.replace): one ConfigError lists
+    every invalid value.
+    """
 
     data_path: str
     label_spec: object
@@ -70,44 +73,41 @@ class RunConfig:
     normalize: bool = True
     out_path: str | None = None
 
+    def __post_init__(self):
+        problems = []
+        if self.data_format not in ("arff", "csv"):
+            problems.append(f"data_format must be arff or csv, got {self.data_format!r}")
+        if self.label_spec is None:
+            problems.append("label_spec is required")
+        if self.n_hidden < 1:
+            problems.append(f"n_hidden must be >= 1, got {self.n_hidden}")
+        if self.n_init < 1:
+            problems.append(f"n_init must be >= 1, got {self.n_init}")
+        if self.chunk_size < 1:
+            problems.append(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if self.ridge < 0.0:
+            problems.append(f"ridge must be >= 0, got {self.ridge}")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            problems.append(
+                f"threshold_mode must be one of {'/'.join(THRESHOLD_MODES)}, "
+                f"got {self.threshold_mode!r}")
+        if self.n_train is not None and self.n_train < 1:
+            problems.append(f"n_train must be >= 1, got {self.n_train}")
+        if problems:
+            raise ConfigError(problems)
+
     @property
     def n_init_effective(self) -> int:
         # the initial block must make the Gram matrix invertible
         return max(self.n_hidden, self.n_init)
 
     def name(self) -> str:
-        if self.dataset_name:
-            return self.dataset_name
-        return Path(self.data_path).stem
-
-
-def validate_config(config: RunConfig) -> None:
-    problems = []
-    if config.data_format not in ("arff", "csv"):
-        problems.append(f"data_format must be arff or csv, got {config.data_format!r}")
-    if config.label_spec is None:
-        problems.append("label_spec is required")
-    if config.n_hidden < 1:
-        problems.append(f"n_hidden must be >= 1, got {config.n_hidden}")
-    if config.n_init < 1:
-        problems.append(f"n_init must be >= 1, got {config.n_init}")
-    if config.chunk_size < 1:
-        problems.append(f"chunk_size must be >= 1, got {config.chunk_size}")
-    if config.ridge < 0.0:
-        problems.append(f"ridge must be >= 0, got {config.ridge}")
-    if config.threshold_mode not in THRESHOLD_MODES:
-        problems.append(
-            f"threshold_mode must be one of {'/'.join(THRESHOLD_MODES)}, "
-            f"got {config.threshold_mode!r}")
-    if config.n_train is not None and config.n_train < 1:
-        problems.append(f"n_train must be >= 1, got {config.n_train}")
-    if problems:
-        raise ConfigError(problems)
+        return self.dataset_name or Path(self.data_path).stem
 
 
 def config_echo(config: RunConfig) -> dict:
     label_spec = config.label_spec
-    if not isinstance(label_spec, (int, str)) and label_spec is not None:
+    if not isinstance(label_spec, (int, str)):
         label_spec = list(label_spec)
     return {
         "data_path": config.data_path,
@@ -206,7 +206,6 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     remaining samples in chunks, and selects the decoding threshold. Each
     chunk's raw scores are taken before its own update touches the weights.
     """
-    validate_config(config)
     n0 = config.n_init_effective
     n_train = train.n_samples
     if n_train <= n0:
@@ -294,17 +293,6 @@ def run_stream_split(config: RunConfig, train: DatasetBundle,
                      threshold=model.threshold)
 
 
-def run_stream(config: RunConfig) -> RunReport:
-    """Full benchmark from a dataset file, split at config.n_train rows."""
-    validate_config(config)
-    if config.n_train is None:
-        raise ConfigError("n_train is required for a streaming benchmark run")
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
-    train, test = split(bundle, config.n_train)
-    return run_stream_split(config, train, test)
-
-
 def cv_folds(n_samples: int, k: int, seed: int) -> list:
     """Shuffle 0..n-1 with the seed and cut into k contiguous index folds."""
     if k < 2:
@@ -315,22 +303,13 @@ def cv_folds(n_samples: int, k: int, seed: int) -> list:
     return np.array_split(order, k)
 
 
-def run_cv(config: RunConfig, k: int = 5) -> CvReport:
+def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> CvReport:
     """Seeded k-fold cross-validation of the full streaming pipeline.
 
     Rows are shuffled once with the config seed and cut into k contiguous
     folds; each fold serves as the test set exactly once, with fold-local
     normalization and threshold calibration.
     """
-    validate_config(config)
-    bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
-    return run_cv_bundle(config, bundle, k)
-
-
-def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> CvReport:
-    """Cross-validate an already-loaded bundle (see run_cv)."""
-    validate_config(config)
     folds = cv_folds(bundle.n_samples, k, config.seed)
     fold_metrics = []
     for i in range(k):
@@ -382,6 +361,13 @@ def _decode_array(obj, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _header_int(doc: dict, key: str) -> int:
+    # exactly a JSON integer: int() would truncate 5.7 and accept true
+    if type(doc[key]) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def _checksum(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -407,7 +393,7 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
         "kind": "streamlabel-model",
         "generator": GENERATOR_TAG,
         "seed": seed,
-        "activation": params.activation.value,
+        "activation": "sigmoid",
         "n_features": params.n_features,
         "n_hidden": params.n_hidden,
         "n_labels": int(state.beta.shape[1]),
@@ -453,15 +439,16 @@ def load_model(path) -> LoadedModel:
     # the checksum proves only that the body was not edited by accident;
     # the structure is checked field by field before any array is used
     try:
-        activation = Activation(doc["activation"])
-        n_features, n_hidden, n_labels = (
-            int(doc[k]) for k in ("n_features", "n_hidden", "n_labels"))
-        samples_seen = int(doc["samples_seen"])
+        if doc["activation"] != "sigmoid":
+            raise ValueError(f"unsupported activation {doc['activation']!r}")
+        n_features, n_hidden, n_labels, samples_seen = (
+            _header_int(doc, k)
+            for k in ("n_features", "n_hidden", "n_labels", "samples_seen"))
         ridge = float(doc["ridge"])
         threshold = doc.get("threshold")
         threshold = None if threshold is None else float(threshold)
         seed = doc.get("seed")
-        seed = None if seed is None else int(seed)
+        seed = None if seed is None else _header_int(doc, "seed")
         arrays = doc["arrays"]
     except KeyError as err:
         raise ModelFormatError(f"{path}: missing field {err}") from err
@@ -470,10 +457,11 @@ def load_model(path) -> LoadedModel:
     for key, value in (("ridge", ridge), ("threshold", threshold)):
         if value is not None and not math.isfinite(value):
             raise ModelFormatError(f"{path}: field {key!r} is {value}")
-    if min(n_features, n_hidden, n_labels) < 1:
+    if min(n_features, n_hidden, n_labels) < 1 or min(samples_seen, ridge) < 0:
         raise ModelFormatError(
-            f"{path}: dimensions must be >= 1, got n_features={n_features}, "
-            f"n_hidden={n_hidden}, n_labels={n_labels}")
+            f"{path}: need dimensions >= 1, samples_seen and ridge >= 0, got "
+            f"n_features={n_features}, n_hidden={n_hidden}, "
+            f"n_labels={n_labels}, samples_seen={samples_seen}, ridge={ridge}")
     if not isinstance(arrays, dict):
         raise ModelFormatError(f"{path}: field 'arrays' is not an object")
 
@@ -481,8 +469,7 @@ def load_model(path) -> LoadedModel:
     b = _decode_array(arrays.get("b"), "b", (n_hidden,))
     beta = _decode_array(arrays.get("beta"), "beta", (n_hidden, n_labels))
     M = _decode_array(arrays.get("M"), "M", (n_hidden, n_hidden))
-    params = ElmParams(W=W, b=b, activation=activation,
-                       n_features=n_features, n_hidden=n_hidden)
+    params = ElmParams(W=W, b=b)
     state = OselmState(beta=beta.copy(), M=M.copy(),
                        samples_seen=samples_seen, ridge_used=ridge)
     norm_stats = None

@@ -58,14 +58,17 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
     for p, t in zip(preds, truths):
         p = set(p)
         t = set(t)
-        for i in p | t:
-            try:
-                if not 0 <= operator.index(i) < m:
+        # each set on its own: the union {1} | {True} drops the True
+        for labels in (p, t):
+            for i in labels:
+                if type(i) is not int:  # bool and numpy integers come here
+                    if isinstance(i, bool) or not hasattr(i, "__index__"):
+                        raise ValueError("label indices must be integers, "
+                                         f"got {type(i).__name__}")
+                    i = operator.index(i)
+                if not 0 <= i < m:
                     raise ValueError(
                         f"label index {i} outside label space of size {m}")
-            except TypeError:
-                raise ValueError("label indices must be integers, got "
-                                 f"{type(i).__name__}") from None
         inter = len(p & t)
         hl += len(p ^ t) / m
         if not p and not t:

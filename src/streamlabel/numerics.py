@@ -1,4 +1,4 @@
-"""Dense matrix primitives: checked Cholesky factor, SPD inverse, seeded draws.
+"""Dense matrix primitives: checked Cholesky factor, SPD inverse, seeded RNG.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
 All solves and inverses go through one checked Cholesky factorization;
@@ -39,16 +39,6 @@ def make_rng(seed: int) -> np.random.Generator:
     produce identical draw sequences on every platform.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def rand_uniform(rng: np.random.Generator, rows: int, cols: int,
-                 lo: float, hi: float) -> np.ndarray:
-    """rows x cols matrix of i.i.d. uniform draws on [lo, hi)."""
-    if not lo < hi:
-        raise ValueError(f"empty range: lo={lo} must be < hi={hi}")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"invalid matrix shape ({rows}, {cols})")
-    return rng.uniform(lo, hi, size=(rows, cols))
 
 
 def mirror_lower(A) -> None:

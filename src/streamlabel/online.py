@@ -144,7 +144,9 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     for name, A in (("Xc", Xc), ("Yc", Yc), ("Hc", Hc)):
         _check_finite(name, A)
     if scores is None:
-        scores = Hc @ state.beta
+        # a non-finite beta is reported by the scores check below
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores = Hc @ state.beta
     else:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (c, m):

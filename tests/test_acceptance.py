@@ -19,9 +19,9 @@ import pytest
 from streamlabel import (RunConfig, ThresholdCalib, batch_train,
                          calibrate_chunk, dataset_stats, decode_rows,
                          emit_report, evaluate, init_params, init_phase,
-                         label_matrix, load_dataset, load_model, run_cv,
-                         run_stream_split, save_model, split, threshold_value,
-                         train_stream, update_chunk)
+                         label_matrix, load_dataset, load_model,
+                         run_cv_bundle, run_stream_split, save_model, split,
+                         threshold_value, train_stream, update_chunk)
 
 from conftest import (dataset_path, golden_run_report, random_labelsets,
                       separable_bundle, synthetic_bundle)
@@ -204,7 +204,9 @@ def test_acceptance_5_cross_validation_consistency(announce):
               "yeast file absent; drop it into data/ to enable "
               "(floor: 5-fold hamming-loss std <= 0.01)")
     config = _benchmark_config("yeast", yeast)
-    report = run_cv(config, 5)
+    bundle = load_dataset(config.data_path, config.data_format,
+                          config.label_spec, config.delimiter)
+    report = run_cv_bundle(config, bundle, 5)
     std = report.std["hamming_loss"]
     ok = std <= 0.01
     _verdict(announce, 5, "cross-validation consistency", ok,

@@ -202,17 +202,6 @@ def test_split_rejects_degenerate():
             split(bundle, bad)
 
 
-def test_split_shuffled_is_seeded_permutation():
-    bundle = synthetic_bundle(20, 3, 2, seed=4)
-    a_train, a_test = split(bundle, 15, shuffle_seed=5)
-    b_train, b_test = split(bundle, 15, shuffle_seed=5)
-    assert np.array_equal(a_train.X, b_train.X)
-    assert np.array_equal(a_test.X, b_test.X)
-    merged = np.vstack([a_train.X, a_test.X])
-    assert not np.array_equal(merged, bundle.X)  # actually shuffled
-    assert np.array_equal(np.sort(merged, axis=0), np.sort(bundle.X, axis=0))
-
-
 def test_take_rows_subset_and_order():
     bundle = synthetic_bundle(8, 2, 2, seed=6)
     sub = take_rows(bundle, [5, 1])
@@ -263,12 +252,3 @@ def test_normalize_feature_count_check():
     with pytest.raises(ValueError):
         normalize_apply(normalize_fit(bundle), other)
 
-
-def test_split_shuffled_order_is_pinned():
-    # the seeded permutation is part of the reproducibility contract
-    bundle = synthetic_bundle(12, 2, 2, seed=9)
-    train, test = split(bundle, 8, shuffle_seed=2024)
-    order = [5, 7, 10, 2, 3, 11, 0, 1, 4, 9, 6, 8]
-    assert np.array_equal(train.X, bundle.X[order[:8]])
-    assert np.array_equal(test.X, bundle.X[order[8:]])
-    assert train.labelsets == tuple(bundle.labelsets[i] for i in order[:8])

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from streamlabel import (Activation, ElmParams, SingularMatrixError,
-                         batch_train, hidden_map, init_params, predict_raw)
+from streamlabel import (ElmParams, SingularMatrixError, batch_train,
+                         hidden_map, init_params, make_rng, predict_raw)
 
 
 def test_init_params_deterministic():
@@ -22,7 +22,6 @@ def test_init_params_shapes():
     assert p.b.shape == (5,)
     assert p.n_features == 3
     assert p.n_hidden == 5
-    assert p.activation is Activation.SIGMOID
 
 
 def test_init_params_seed_changes_weights():
@@ -31,11 +30,24 @@ def test_init_params_seed_changes_weights():
     assert not np.array_equal(a.W, b.W)
 
 
-def test_init_params_weight_range():
-    p = init_params(4, 50, seed=1, weight_range=(0.5, 0.75))
-    for arr in (p.W, p.b):
-        assert arr.min() >= 0.5
-        assert arr.max() < 0.75
+@pytest.mark.parametrize("n_features,n_hidden,seed", [
+    (3, 5, 0), (294, 1000, 1), (1, 1, 7), (40, 3, 2**40),
+], ids=["small", "scene-wide", "one-neuron", "large-seed"])
+def test_init_params_is_the_raw_generator_draws(n_features, n_hidden, seed):
+    # W, then b, both uniform on [-1, 1) from one PCG64 stream: the draws
+    # that fix every hidden layer and every saved model
+    rng = make_rng(seed)
+    W = rng.uniform(-1.0, 1.0, size=(n_hidden, n_features))
+    b = rng.uniform(-1.0, 1.0, size=n_hidden)
+    p = init_params(n_features, n_hidden, seed)
+    assert np.array_equal(p.W, W)
+    assert np.array_equal(p.b, b)
+
+
+def test_params_dimensions_come_from_w():
+    W = np.zeros((4, 2))
+    p = ElmParams(W=W, b=np.zeros(4))
+    assert (p.n_hidden, p.n_features) == W.shape
 
 
 def test_init_params_validation():
@@ -43,8 +55,6 @@ def test_init_params_validation():
         init_params(0, 5, seed=1)
     with pytest.raises(ValueError):
         init_params(3, 0, seed=1)
-    with pytest.raises(ValueError):
-        init_params(3, 5, seed=1, weight_range=(1.0, -1.0))
 
 
 def test_params_immutable():
@@ -56,16 +66,14 @@ def test_params_immutable():
 
 
 def test_hidden_map_zero_weights():
-    p = ElmParams(W=np.zeros((4, 2)), b=np.zeros(4),
-                  activation=Activation.SIGMOID, n_features=2, n_hidden=4)
+    p = ElmParams(W=np.zeros((4, 2)), b=np.zeros(4))
     H = hidden_map(p, np.random.default_rng(0).normal(size=(6, 2)))
     assert np.array_equal(H, np.full((6, 4), 0.5))
 
 
 def test_hidden_map_known_value():
     # sigmoid(ln 3) = 3/4
-    p = ElmParams(W=np.array([[math.log(3.0)]]), b=np.zeros(1),
-                  activation=Activation.SIGMOID, n_features=1, n_hidden=1)
+    p = ElmParams(W=np.array([[math.log(3.0)]]), b=np.zeros(1))
     H = hidden_map(p, np.array([[1.0]]))
     assert H.shape == (1, 1)
     assert abs(H[0, 0] - 0.75) <= 1e-15
@@ -99,8 +107,7 @@ def test_hidden_map_is_bit_identical_to_expression():
 
 def test_hidden_map_sigmoid_limits():
     t = np.array([[-800.0], [-40.0], [40.0], [800.0], [np.nan]])
-    p = ElmParams(W=np.ones((1, 1)), b=np.zeros(1),
-                  activation=Activation.SIGMOID, n_features=1, n_hidden=1)
+    p = ElmParams(W=np.ones((1, 1)), b=np.zeros(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         H = hidden_map(p, t)[:, 0]
@@ -189,8 +196,7 @@ def test_batch_train_matches_normal_equations():
 
 def test_batch_train_rank_deficient_raises_and_ridge_recovers():
     # a constant hidden layer gives H of rank one
-    p = ElmParams(W=np.zeros((3, 2)), b=np.zeros(3),
-                  activation=Activation.SIGMOID, n_features=2, n_hidden=3)
+    p = ElmParams(W=np.zeros((3, 2)), b=np.zeros(3))
     X = np.random.default_rng(13).uniform(size=(5, 2))
     Y = np.ones((5, 2))
     with pytest.raises(SingularMatrixError,
@@ -211,8 +217,7 @@ def test_predict_raw_zero_beta():
 
 def test_predict_raw_scalar_case():
     # H = [0.5] against beta = [2] gives exactly 1.0
-    p = ElmParams(W=np.zeros((1, 1)), b=np.zeros(1),
-                  activation=Activation.SIGMOID, n_features=1, n_hidden=1)
+    p = ElmParams(W=np.zeros((1, 1)), b=np.zeros(1))
     out = predict_raw(p, np.array([[2.0]]), np.array([[3.0]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == 1.0

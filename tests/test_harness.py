@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,11 +8,11 @@ import pytest
 
 from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
                          cv_folds, emit_report, harness, init_params,
-                         init_phase, load_dataset,
-                         load_dataset_defaults, load_model, predict_raw,
-                         predict_sets, run_cv_bundle, run_stream,
+                         init_phase, load_dataset, load_dataset_defaults,
+                         load_model, predict_raw, predict_sets, run_cv_bundle,
                          run_stream_split, save_model, split, train_stream,
-                         update_chunk, validate_config)
+                         update_chunk)
+from streamlabel.cli import main
 
 from conftest import golden_run_report, separable_bundle, synthetic_bundle
 
@@ -37,16 +38,24 @@ def _write_csv(bundle, path):
 
 
 def test_validate_collects_all_problems():
-    config = _config(n_hidden=0, chunk_size=-2, threshold_mode="sometimes",
-                     ridge=-1.0)
     with pytest.raises(ConfigError) as excinfo:
-        validate_config(config)
+        _config(n_hidden=0, chunk_size=-2, threshold_mode="sometimes",
+                ridge=-1.0)
     text = str(excinfo.value)
     assert "n_hidden" in text
     assert "chunk_size" in text
     assert "threshold_mode" in text
     assert "ridge" in text
     assert len(excinfo.value.problems) == 4
+
+
+def test_config_is_frozen_and_checked_on_replace():
+    config = _config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.chunk_size = 0
+    with pytest.raises(ConfigError, match="chunk_size must be >= 1, got 0"):
+        dataclasses.replace(config, chunk_size=0)
+    assert config.chunk_size == 7
 
 
 def test_effective_initial_block_is_at_least_hidden_width():
@@ -117,25 +126,21 @@ def test_threshold_modes():
     assert np.isfinite(recal.threshold)
 
 
-def test_run_stream_from_file(tmp_path):
+def test_stream_command_matches_split_and_run_stream_split(tmp_path, capsys):
     bundle = synthetic_bundle(260, 6, 3, seed=35)
     path = tmp_path / "synth.csv"
     _write_csv(bundle, path)
-    config = _config(data_path=str(path), data_format="csv", n_train=200)
-    report = run_stream(config)
+    assert main(["stream", "--data", str(path), "--format", "csv",
+                 "--labels", "3", "--n-train", "200", "--hidden", "20",
+                 "--init", "40", "--chunk", "7", "--seed", "0"]) == 0
+    a = json.loads(capsys.readouterr().out)
     # the file round trip must not change the result
+    config = _config(data_path=str(path), data_format="csv", n_train=200)
     train, test = split(load_dataset(path, "csv", 3), 200)
-    direct = run_stream_split(config, train, test)
-    a = report.to_json_dict()
-    b = direct.to_json_dict()
+    b = run_stream_split(config, train, test).to_json_dict()
     a["timing"] = b["timing"] = None
     a["dataset"] = b["dataset"] = "x"
     assert json.dumps(a) == json.dumps(b)
-
-
-def test_run_stream_requires_n_train():
-    with pytest.raises(ConfigError, match="n_train"):
-        run_stream(_config(n_train=None))
 
 
 def test_cv_folds_partition():
@@ -291,11 +296,19 @@ def _set_b_shape(doc):
     (_set_field("threshold", -math.inf), "'threshold'"),
     (_set_field("ridge", math.nan), "'ridge'"),
     (_set_field("ridge", math.inf), "'ridge'"),
+    (_set_field("samples_seen", -5), "samples_seen=-5"),
+    (_set_field("ridge", -1.0), "ridge=-1.0"),
+    (_set_field("samples_seen", True), "'samples_seen' must be an integer"),
+    (_set_field("n_hidden", 5.7), "'n_hidden' must be an integer"),
+    (_set_field("n_hidden", 6.0), "'n_hidden' must be an integer"),
+    (_set_field("seed", "7"), "'seed' must be an integer"),
 ], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
         "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
         "norm_max-long", "b-negative-shape", "norm_max-missing", "W-nan",
         "b-inf", "beta-nan", "M-inf", "norm_min-nan", "norm_max-inf",
-        "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf"])
+        "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf",
+        "samples_seen-negative", "ridge-negative", "samples_seen-bool",
+        "n_hidden-fraction", "n_hidden-float", "seed-string"])
 def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
     # the checksum can be recomputed by anyone, so each structural fault
     # must still be a ModelFormatError when the checksum matches

@@ -146,14 +146,18 @@ def test_validation():
         evaluate([{4}], [{0}], 3)
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.0, "1", np.float64(1.0)],
-                         ids=["half", "float-one", "str", "numpy-float"])
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", np.float64(1.0), True],
+                         ids=["half", "float-one", "str", "numpy-float",
+                              "bool"])
 def test_rejects_non_integer_label_indices(bad):
     # the same rule and wording as label_matrix
     with pytest.raises(ValueError, match="label indices must be integers"):
         evaluate([{bad}], [{0}], 2)
     with pytest.raises(ValueError, match="label indices must be integers"):
         evaluate([{0}], [{0, bad}], 2)
+    # {1} | {1.0} is {1}: each set must be checked on its own
+    with pytest.raises(ValueError, match="label indices must be integers"):
+        evaluate([{1}], [{bad}], 2)
 
 
 def test_accepts_numpy_integer_label_indices():

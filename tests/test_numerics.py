@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve
 
 from streamlabel import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
-                         make_rng, rand_uniform)
+                         make_rng)
 from streamlabel.numerics import inv_spd, mirror_lower
 
 
@@ -61,35 +61,6 @@ def test_solve_shape_checks():
         cholesky_spd(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         cholesky_spd(np.ones(3))
-
-
-def test_rand_uniform_deterministic():
-    a = rand_uniform(make_rng(9), 7, 4, -1.0, 1.0)
-    b = rand_uniform(make_rng(9), 7, 4, -1.0, 1.0)
-    assert a.shape == (7, 4)
-    assert np.array_equal(a, b)
-    c = rand_uniform(make_rng(10), 7, 4, -1.0, 1.0)
-    assert not np.array_equal(a, c)
-
-
-def test_rand_uniform_range_half_open():
-    a = rand_uniform(make_rng(0), 50, 50, 2.0, 3.0)
-    assert a.min() >= 2.0
-    assert a.max() < 3.0
-
-
-def test_rand_uniform_mean():
-    # seed fixed so the statistical bound is a deterministic check
-    a = rand_uniform(make_rng(1234), 100, 100, -1.0, 1.0)
-    bound = 3.0 * (2.0 / np.sqrt(12.0)) / 100.0
-    assert abs(a.mean()) <= bound
-
-
-def test_rand_uniform_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        rand_uniform(make_rng(0), 2, 2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rand_uniform(make_rng(0), 2, 2, 2.0, -2.0)
 
 
 def test_generator_tag_is_stable():

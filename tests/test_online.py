@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from streamlabel import (Activation, ElmParams, OselmState,
-                         SingularMatrixError, batch_train, hidden_map,
-                         init_params, init_phase, update_chunk)
+from streamlabel import (ElmParams, OselmState, SingularMatrixError,
+                         batch_train, hidden_map, init_params, init_phase,
+                         update_chunk)
 
 
 def _stream(seed, n=200, d=8, m=5):
@@ -57,8 +57,7 @@ def test_update_sample_by_hand():
     # constant-0.5 hidden feature: with M=[[1]] and beta=[[0]],
     #   denom = 1 + 0.25 = 1.25, M' = 1 - 0.25/1.25 = 0.8
     #   beta' = 0.8 * 0.5 * (1 - 0) = 0.4
-    p = ElmParams(W=np.zeros((1, 1)), b=np.zeros(1),
-                  activation=Activation.SIGMOID, n_features=1, n_hidden=1)
+    p = ElmParams(W=np.zeros((1, 1)), b=np.zeros(1))
     st = OselmState(beta=np.zeros((1, 1)), M=np.ones((1, 1)),
                     samples_seen=1, ridge_used=0.0)
     update_chunk(st, p, np.array([[0.0]]), np.array([[1.0]]))
@@ -351,7 +350,8 @@ def test_m_is_mirrored_once_when_read(monkeypatch):
 @pytest.mark.parametrize("where,match", [
     ("M", "update_chunk: matrix has a NaN or infinite entry"),
     ("beta", "update_chunk: scores row 0 is not finite"),
-], ids=["M", "beta"])
+    ("beta-inf", "update_chunk: scores row 0 is not finite"),
+], ids=["M", "beta", "beta-inf"])
 def test_non_finite_state_raises_and_leaves_state_untouched(where, match):
     # the scores are computed by update_chunk itself, not passed in
     p = init_params(8, 10, seed=42)
@@ -361,8 +361,12 @@ def test_non_finite_state_raises_and_leaves_state_untouched(where, match):
         M = st.M.copy()
         M[3, 3] = np.nan
         st.M = M
-    else:
+    elif where == "beta":
         st.beta[4, 1] = np.nan
+    else:
+        # inf - inf in the score product: the named error, not a warning
+        st.beta[0, 0] = np.inf
+        st.beta[1, 0] = -np.inf
     M = st.M
     beta, M_copy = st.beta.copy(), st.M.copy()
     with pytest.raises(ValueError, match=match):
