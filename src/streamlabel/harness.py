@@ -1,9 +1,10 @@
 """Benchmark driver: streaming train/eval runs, cross-validation, persistence.
 
 Runs take loaded bundles. A streaming run is: split -> normalize -> encode
-labels -> solve the initial block -> per-chunk (predict raw, fold scores
-into the threshold calibration, recursive update) -> pick threshold ->
-decode test set -> score. Training time covers the initial solve, the
+labels -> solve the initial block -> per block of chunks (announce their
+hidden rows to the update) -> per-chunk (predict raw, fold scores into the
+threshold calibration, recursive update) -> pick threshold -> decode test
+set -> score. Training time covers the initial solve, the
 sequential phase and threshold selection; test time covers raw prediction
 plus decoding. Data loading and normalization are excluded from both.
 """
@@ -26,7 +27,7 @@ from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
 from .numerics import GENERATOR_TAG, make_rng
-from .online import OselmState, init_phase, update_chunk
+from .online import OselmState, init_phase, look_ahead, update_chunk
 
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
@@ -232,11 +233,18 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     # mapped together, about _MAP_ROWS rows per call, instead of one skinny
     # product per chunk
     block_rows = max(1, _MAP_ROWS // chunk) * chunk
+    # whole chunks are announced to the update in sub-blocks: the corrections
+    # for a sub-block's earlier chunks cost about (its rows / n_hidden) of the
+    # product Hc M they replace, so at most n_hidden // 4 rows caps them at a
+    # quarter; at least one chunk
+    ahead_rows = max(1, config.n_hidden // 4 // chunk) * chunk
     t0 = time.perf_counter()
     for block in range(n0, n_train, block_rows):
         H = hidden_map(params, train.X[block:block + block_rows])
         for start in range(block, min(block + block_rows, n_train), chunk):
             stop = min(start + chunk, n_train)
+            if (start - block) % ahead_rows == 0:
+                look_ahead(state, H[start - block:start - block + ahead_rows])
             Hc = H[start - block:stop - block]
             # one score product per chunk: the calibration and the update
             # share it and the chunk's hidden rows
@@ -368,6 +376,13 @@ def _header_int(doc: dict, key: str) -> int:
     return doc[key]
 
 
+def _header_number(doc: dict, key: str) -> float:
+    # exactly a JSON number: float() would accept true and "0.5"
+    if type(doc[key]) not in (int, float):
+        raise ValueError(f"field {key!r} must be a number, got {doc[key]!r}")
+    return float(doc[key])
+
+
 def _checksum(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -444,9 +459,10 @@ def load_model(path) -> LoadedModel:
         n_features, n_hidden, n_labels, samples_seen = (
             _header_int(doc, k)
             for k in ("n_features", "n_hidden", "n_labels", "samples_seen"))
-        ridge = float(doc["ridge"])
+        ridge = _header_number(doc, "ridge")
         threshold = doc.get("threshold")
-        threshold = None if threshold is None else float(threshold)
+        threshold = (None if threshold is None
+                     else _header_number(doc, "threshold"))
         seed = doc.get("seed")
         seed = None if seed is None else _header_int(doc, "seed")
         arrays = doc["arrays"]

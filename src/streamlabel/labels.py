@@ -50,7 +50,12 @@ def label_matrix(labelsets, m: int) -> np.ndarray:
         labelsets = list(labelsets)
     n = len(labelsets)
     sizes = np.fromiter(map(len, labelsets), dtype=np.intp, count=n)
-    cols = np.array(list(chain.from_iterable(labelsets)))
+    flat = list(chain.from_iterable(labelsets))
+    # np.array([True, 2]) is an integer array, so bools are found by type
+    kinds = set(map(type, flat))
+    if bool in kinds or np.bool_ in kinds:
+        raise ValueError("label indices must be integers, got bool")
+    cols = np.array(flat)
     if cols.size and cols.dtype.kind not in "iu":
         raise ValueError(f"label indices must be integers, got {cols.dtype}")
     cols = cols.astype(np.int64, copy=False)

@@ -6,17 +6,36 @@ a single sample is a chunk of one. For any chunking of the stream, the final
 weights match a batch least-squares fit over all samples seen, up to
 rounding.
 
-A chunk of c rows Hc costs one symmetric product T = Hc M, one c x c
-Cholesky factor F F' = I + T Hc', one triangular solve U = F^-1 T and one
-symmetric rank-c downdate M -= U'U, and no M-sized temporary or copy: M is
-downdated in its own memory, so a caller holding a reference to ``state.M``
-sees it change and should snapshot it with ``.copy()``. While streaming, M
-is kept as its lower triangle only: the product reads that triangle and the
-downdate writes it, and the upper triangle is filled in, once, when
-``state.M`` is next read, so every M a caller sees is exactly symmetric.
-The output weights take the gain form beta += U'F^-1 (Yc - Hc beta), so no
-second pass over M is needed; a caller that already holds the chunk's
-scores Hc beta passes them as ``scores=`` and they are not recomputed.
+A chunk of c rows Hc needs T = Hc M, one c x c Cholesky factor
+F F' = I + T Hc', one triangular solve U = F^-1 T, the downdate M -= U'U
+and the gain-form weight step beta += U'F^-1 (Yc - Hc beta), which needs
+no second pass over M; a caller that already holds the chunk's scores
+Hc beta passes them as ``scores=`` and they are not recomputed.
+
+The two M-sized steps, the product and the downdate, run once per block of
+chunks, not once per chunk (a look-ahead):
+
+- ``look_ahead(state, H)`` announces the hidden rows of the next chunks and
+  projects them through M in one symmetric product, P = H M.
+- ``update_chunk`` on the next announced rows takes T from its rows of P.
+  The U rows of the block's chunks applied so far, stacked as V, are the
+  pending downdate: the true inverse Gram matrix is M - V'V, so
+  T = P_rows - (Hc V') V. Each chunk's U joins V instead of touching M.
+- The next ``look_ahead`` folds V into M with one rank-k downdate.
+
+Rows that were not announced get a one-chunk look-ahead of their own,
+which costs what a per-chunk update costs. A deferred correction cancels
+against its stale projection, so once the pending downdate has removed
+more than half of trace(M) as it stood at projection, the rows still to
+come are folded and projected again.
+
+There is no M-sized temporary or copy: M is downdated in its own memory,
+so a caller holding a reference to ``state.M`` sees it change and should
+snapshot it with ``.copy()``. While streaming, M is kept as its lower
+triangle only: the product reads that triangle and the downdate writes it.
+Reading ``state.M`` folds the pending rows, fills in the upper triangle,
+once, and drops the look-ahead, so every M a caller sees is exact and
+exactly symmetric.
 """
 
 import numpy as np
@@ -26,17 +45,47 @@ from .elm import ElmParams, hidden_map
 from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
 
 
+# The guard: once the pending downdate V'V has removed more than this share
+# of trace(M) as it stood at projection, T = P_rows - (Hc V')V subtracts
+# nearly equal terms and loses digits that the direct product keeps, so the
+# rows still to come are projected again through the folded M. Shares from
+# a tenth to a half gave the same accuracy on ill-conditioned streams; the
+# largest re-projects least.
+_STALE_FRACTION = 0.5
+
+
+class _LookAhead:
+    """Announced hidden rows H, their projection P = H M, and the V buffer.
+
+    V[:used] holds the U rows of the chunks applied since the projection:
+    the pending downdate. ``removed`` is ||V[:used]||_F^2, the trace it took
+    off M; past ``budget`` the guard re-projects.
+    """
+
+    __slots__ = ("H", "P", "V", "used", "removed", "budget")
+
+    def __init__(self, H: np.ndarray, P: np.ndarray, budget: float):
+        self.H = H
+        self.P = P
+        self.V = np.empty_like(P)
+        self.used = 0
+        self.removed = 0.0
+        self.budget = budget
+
+
 class OselmState:
     """Mutable sequential-training state.
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
     the accumulated hidden-feature Gram matrix. Updates write M in place
     (snapshot it with ``.copy()`` to keep an old value) and keep only its
-    lower triangle current; reading ``state.M`` copies that triangle onto
-    the upper one in place, once per update, so the array returned is
-    always the same object and exactly symmetric. Assigning ``state.M``
-    stores the array as given. beta is replaced by a new array on each
-    update.
+    lower triangle current. Chunks applied since the last ``look_ahead``
+    are held back as a pending downdate; reading ``state.M`` folds them into
+    M, copies the lower triangle onto the upper one in place, once per
+    update, and drops the look-ahead, so the array returned is always the
+    same object, exact and exactly symmetric. Assigning ``state.M`` stores
+    the array as given and drops the pending rows and the look-ahead. beta
+    is replaced by a new array on each update.
     Single-writer: never update or read one state from two threads.
     """
 
@@ -49,6 +98,7 @@ class OselmState:
 
     @property
     def M(self) -> np.ndarray:
+        _fold(self)
         if self._upper_stale:
             mirror_lower(self._M)
             self._upper_stale = False
@@ -58,11 +108,24 @@ class OselmState:
     def M(self, value: np.ndarray) -> None:
         self._M = value
         self._upper_stale = False
+        self._ahead = None
 
     def __repr__(self) -> str:
         return (f"OselmState(beta={self.beta!r}, M={self.M!r}, "
                 f"samples_seen={self.samples_seen!r}, "
                 f"ridge_used={self.ridge_used!r})")
+
+
+def _fold(state: OselmState) -> None:
+    """Apply the pending downdate, M -= V'V, and drop the look-ahead."""
+    ahead = state._ahead
+    if ahead is not None and ahead.used:
+        # V.T is an F-ordered view; dsyrk writes the upper triangle of the
+        # F-ordered view M.T, which is M's lower one, in M's own memory
+        blas.dsyrk(-1.0, ahead.V[:ahead.used].T, beta=1.0, c=state._M.T,
+                   overwrite_c=1)
+        state._upper_stale = True
+    state._ahead = None
 
 
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
@@ -115,9 +178,12 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     the matrix-inversion-lemma form of recursive least squares. Hc, the
     hidden-layer rows of Xc, and scores, the chunk's raw outputs Hc beta
     under the current weights, are computed here unless the caller passes
-    them. A NaN or inf in the chunk, the scores, beta or M raises
-    ValueError. Every check runs before the state is touched, so an update
-    that raises leaves beta, M and samples_seen as they were.
+    them. T comes from the look-ahead when Hc equals the next announced
+    rows; otherwise this call announces Hc itself. U'U is held back as a
+    pending downdate of M (see the module docstring). A NaN or inf in the
+    chunk, the scores, beta or M raises ValueError. Every check runs before
+    beta, samples_seen or the value of M is touched, so an update that
+    raises leaves them as they were.
     """
     Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
@@ -135,7 +201,7 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     if Yc.shape != (c, m):
         raise ValueError(
             f"chunk target shape {Yc.shape} does not match ({c}, {m})")
-    # the private array: reading state.M would fill in its stale triangle
+    # the private array: reading state.M would fold the pending downdate
     M = state._M
     if M.shape != (L, L) or state.beta.shape[0] != L:
         raise ValueError(
@@ -155,14 +221,22 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
                 f"({c}, {m})")
     _check_finite("scores", scores)
 
-    if not (M.dtype == np.float64 and M.flags.c_contiguous
-            and M.flags.writeable):
-        # BLAS below writes into M.T; f2py would write through a read-only
-        # flag, and it copies any other layout
-        M = np.array(M, dtype=np.float64, order="C")
-    # M.T is an F-ordered view of M; dsymm reads only its upper triangle,
-    # which is M's lower one, the only triangle the downdate keeps current
-    T = blas.dsymm(1.0, M.T, Hc.T, side=0, lower=0).T
+    ahead = state._ahead
+    if ahead is None or not np.array_equal(
+            Hc, ahead.H[ahead.used:ahead.used + c]):
+        ahead = look_ahead(state, Hc)._ahead
+    elif ahead.removed > ahead.budget:
+        # the staleness guard (see _STALE_FRACTION): fold, then re-project
+        # the rows still to come
+        ahead = look_ahead(state, ahead.H[ahead.used:])._ahead
+    r0, r1 = ahead.used, ahead.used + c
+    # T = Hc (M - V'V) from the projection, written into the rows of V that
+    # take this chunk's U
+    T = ahead.V[r0:r1]
+    T[...] = ahead.P[r0:r1]
+    if r0:
+        done = ahead.V[:r0]
+        T -= (Hc @ done.T) @ done
     K = np.eye(c) + T @ Hc.T
     # Hc M Hc' is symmetric only up to roundoff; enforce it before factoring
     K = 0.5 * (K + K.T)
@@ -179,12 +253,41 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     w = blas.dtrsm(1.0, F, residual.T, side=1, lower=1, trans_a=1,
                    overwrite_b=1).T
 
-    # All checks passed. dsyrk writes M - U'U into the upper triangle of
-    # the F-ordered view M.T, in M's own memory: M's lower triangle is
-    # current and its upper one stale until state.M is read.
-    blas.dsyrk(-1.0, Ut, beta=1.0, c=M.T, overwrite_c=1)
-    state._M = M
-    state._upper_stale = True
+    # All checks passed: U joins the pending downdate, and M is untouched
+    # until the next look_ahead or read of state.M folds it in
+    ahead.used = r1
+    ahead.removed += float(np.vdot(T, T))  # T holds U now
     state.beta = state.beta + Ut @ w
     state.samples_seen += c
+    return state
+
+
+def look_ahead(state: OselmState, H) -> OselmState:
+    """Announce the hidden rows of the next chunks; mutates and returns it.
+
+    Folds any pending downdate into M with one rank-k downdate, then
+    projects the rows through M with one symmetric product, P = H M. The
+    update_chunk calls whose hidden rows are the next unconsumed rows of H,
+    in order, take T = Hc M from P instead of from a product of their own.
+    H is copied. Announcing again, or reading or assigning ``state.M``,
+    drops the rows not yet consumed; rows that never arrive cost nothing
+    more.
+    """
+    M = state._M
+    H = np.array(H, dtype=np.float64, order="C")
+    if H.ndim != 2 or M.ndim != 2 or H.shape[1] != M.shape[0]:
+        raise ValueError(
+            f"look_ahead: hidden rows of shape {H.shape} do not match "
+            f"M of shape {M.shape}")
+    if not (M.dtype == np.float64 and M.flags.c_contiguous
+            and M.flags.writeable):
+        # BLAS writes into M.T; f2py would write through a read-only flag,
+        # and it copies any other layout. The value of M is unchanged.
+        M = np.array(M, dtype=np.float64, order="C")
+        state._M = M
+    _fold(state)
+    # M.T is an F-ordered view of M; dsymm reads only its upper triangle,
+    # which is M's lower one, the only triangle the downdate keeps current
+    P = blas.dsymm(1.0, M.T, H.T, side=0, lower=0).T
+    state._ahead = _LookAhead(H, P, _STALE_FRACTION * float(np.trace(M)))
     return state

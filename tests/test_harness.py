@@ -302,13 +302,18 @@ def _set_b_shape(doc):
     (_set_field("n_hidden", 5.7), "'n_hidden' must be an integer"),
     (_set_field("n_hidden", 6.0), "'n_hidden' must be an integer"),
     (_set_field("seed", "7"), "'seed' must be an integer"),
+    (_set_field("threshold", True), "'threshold' must be a number"),
+    (_set_field("threshold", "0.25"), "'threshold' must be a number"),
+    (_set_field("ridge", "0.5"), "'ridge' must be a number"),
+    (_set_field("ridge", False), "'ridge' must be a number"),
 ], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
         "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
         "norm_max-long", "b-negative-shape", "norm_max-missing", "W-nan",
         "b-inf", "beta-nan", "M-inf", "norm_min-nan", "norm_max-inf",
         "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf",
         "samples_seen-negative", "ridge-negative", "samples_seen-bool",
-        "n_hidden-fraction", "n_hidden-float", "seed-string"])
+        "n_hidden-fraction", "n_hidden-float", "seed-string",
+        "threshold-bool", "threshold-string", "ridge-string", "ridge-bool"])
 def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
     # the checksum can be recomputed by anyone, so each structural fault
     # must still be a ModelFormatError when the checksum matches
@@ -481,3 +486,109 @@ def test_train_stream_maps_whole_chunks_in_blocks(monkeypatch, chunk):
     rel = (np.linalg.norm(model.state.beta - state.beta)
            / np.linalg.norm(state.beta))
     assert rel <= 1e-9
+
+
+def test_train_stream_look_ahead_matches_per_chunk_loop(monkeypatch):
+    import streamlabel.harness as harness
+    real_calibrate = harness.calibrate_chunk
+    streamed = []
+
+    def recording(calib, raw, truth):
+        streamed.append(raw.copy())
+        return real_calibrate(calib, raw, truth)
+
+    monkeypatch.setattr(harness, "calibrate_chunk", recording)
+    # 30 features keep H'H well conditioned, so the two orders of arithmetic
+    # agree to rounding (with 6 they differ at eps * cond(H'H), about 1e-6,
+    # which the accuracy test in test_online.py measures against lstsq)
+    bundle = synthetic_bundle(700, 30, 4, seed=43)
+    # blocks of n_hidden // 4 = 20 rows: five chunks per look-ahead
+    config = _config(n_hidden=80, n_init=100, chunk_size=4, label_spec=4)
+    model = train_stream(config, bundle)
+
+    # the same stream with no announcements: one look-ahead per chunk
+    norm = harness.normalize_apply(harness.normalize_fit(bundle), bundle)
+    truth = harness.label_matrix(norm.labelsets, norm.m)
+    targets = np.where(truth, 1.0, -1.0)
+    params = init_params(30, 80, config.seed)
+    state = init_phase(params, norm.X[:100], targets[:100])
+    calib = harness.ThresholdCalib()
+    starts = range(100, 700, 4)
+    assert len(streamed) == len(starts)
+    for raw_streamed, start in zip(streamed, starts):
+        Xc = norm.X[start:start + 4]
+        Hc = harness.hidden_map(params, Xc)
+        raw = Hc @ state.beta
+        assert (np.linalg.norm(raw_streamed - raw)
+                <= 1e-10 * np.linalg.norm(raw))
+        real_calibrate(calib, raw, truth[start:start + 4])
+        update_chunk(state, params, Xc, targets[start:start + 4], Hc=Hc,
+                     scores=raw)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(model.state.beta, state.beta) <= 1e-10
+    assert rel(model.state.M, state.M) <= 1e-10
+    for got, want in ((model.calib.min_pos, calib.min_pos),
+                      (model.calib.max_neg, calib.max_neg)):
+        assert abs(got - want) <= 1e-10 * abs(want)
+    assert model.calib.observations == calib.observations
+
+
+def test_train_stream_sweeps_m_once_per_block(monkeypatch):
+    import streamlabel.online as online
+    real_blas = online.blas
+    real_look_ahead = online.look_ahead
+    inside = []  # the function each dsymm / dsyrk call ran under
+    announced = []
+    active = ["other"]
+
+    class CountingBlas:
+        def __getattr__(self, name):
+            fn = getattr(real_blas, name)
+            if name not in ("dsymm", "dsyrk"):
+                return fn
+
+            def counted(*args, **kwargs):
+                inside.append((name, active[-1]))
+                return fn(*args, **kwargs)
+            return counted
+
+    def tagged(tag):
+        def look_ahead(state, H):
+            if tag == "train_stream":
+                announced.append(len(H))
+            active.append(tag)
+            try:
+                return real_look_ahead(state, H)
+            finally:
+                active.pop()
+        return look_ahead
+
+    monkeypatch.setattr(online, "blas", CountingBlas())
+    # train_stream announces; update_chunk re-projects when the staleness
+    # guard fires, or when its rows were not announced
+    monkeypatch.setattr(harness, "look_ahead", tagged("train_stream"))
+    monkeypatch.setattr(online, "look_ahead", tagged("update_chunk"))
+    # the stream-wide shape, scaled down: L = 400, chunks of 20, ridge 1e-6
+    bundle = synthetic_bundle(1500, 30, 6, seed=44)
+    config = _config(n_hidden=400, n_init=500, chunk_size=20, ridge=1e-6,
+                     label_spec=6)
+    model = train_stream(config, bundle)
+
+    # map blocks of 240 rows, announced in blocks of n_hidden // 4 = 100
+    # rows (five chunks) or what is left of them
+    assert announced == [100, 100, 40] * 4 + [40]
+    assert model.n_epochs == 50
+    symm = [where for name, where in inside if name == "dsymm"]
+    syrk = [where for name, where in inside if name == "dsyrk"]
+    # every sweep of M runs in a look-ahead, none in update_chunk itself,
+    # and update_chunk re-projects rarely, not once per chunk
+    assert set(symm) <= {"train_stream", "update_chunk"}
+    assert symm.count("train_stream") == len(announced)
+    assert symm.count("update_chunk") <= len(announced) // 4
+    # init_phase builds the Gram matrix with one dsyrk; every later
+    # look-ahead folds the chunks applied since the one before
+    assert syrk[0] == "other"
+    assert sorted(syrk[1:]) == sorted(symm[1:])

@@ -208,6 +208,15 @@ def test_label_matrix_rejects_non_integer_indices(bad):
         label_matrix([{0}, {bad}], 3)
 
 
+@pytest.mark.parametrize("bad", [{True}, {True, 2}, {np.True_, 2}],
+                         ids=["bool", "bool-with-int", "numpy-bool-with-int"])
+def test_label_matrix_rejects_bool_indices(bad):
+    # a bool mixed with ints must not pass as the index 0 or 1
+    with pytest.raises(ValueError,
+                       match="label indices must be integers, got bool"):
+        label_matrix([{0}, bad], 3)
+
+
 def test_label_matrix_matches_per_set_oracle():
     rng = np.random.default_rng(11)
     m = 9
