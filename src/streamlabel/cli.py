@@ -16,13 +16,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dataio import DatasetFormatError, load_dataset, split
-from .harness import (REPORT_SCHEMA_VERSION, ConfigError, ModelFormatError,
-                      RunConfig, emit_report, load_dataset_defaults,
-                      load_model, predict_sets, run_cv_bundle,
-                      run_stream_split, save_model, train_stream)
+from .harness import (REPORT_SCHEMA_VERSION, THRESHOLD_MODES, ConfigError,
+                      ModelFormatError, RunConfig, emit_report,
+                      load_dataset_defaults, load_model, predict_sets,
+                      run_cv_bundle, run_stream_split, save_model,
+                      train_stream)
 from .labels import dataset_stats
 from .metrics import evaluate
 from .numerics import SingularMatrixError
@@ -51,11 +53,15 @@ def _default_data_path(name: str) -> str:
         "pass --data explicitly")
 
 
+# Each run and data flag stores into the RunConfig field of its dest; a flag
+# left unset is None (--seed alone defaults to 0), so shipped defaults show
+# through.
+
 def _add_data_args(parser):
-    parser.add_argument("--data", help="dataset file path")
-    parser.add_argument("--format", choices=("arff", "csv"),
+    parser.add_argument("--data", dest="data_path", help="dataset file path")
+    parser.add_argument("--format", dest="data_format", choices=("arff", "csv"),
                         help="dataset file format (default arff)")
-    parser.add_argument("--labels",
+    parser.add_argument("--labels", dest="label_spec", type=_parse_label_spec,
                         help="label columns: trailing count, comma-separated "
                              "names, or sidecar .txt/.xml path")
     parser.add_argument("--delimiter", help="csv field delimiter (default ,)")
@@ -64,19 +70,23 @@ def _add_data_args(parser):
 
 
 def _add_run_args(parser):
-    parser.add_argument("--n-train", type=int, help="rows in the training split")
-    parser.add_argument("--hidden", type=int, help="hidden layer width")
-    parser.add_argument("--init", type=int,
+    parser.add_argument("--n-train", dest="n_train", type=int,
+                        help="rows in the training split")
+    parser.add_argument("--hidden", dest="n_hidden", type=int,
+                        help="hidden layer width")
+    parser.add_argument("--init", dest="n_init", type=int,
                         help="initial block size (raised to the hidden width)")
-    parser.add_argument("--chunk", type=int, help="streaming chunk size")
+    parser.add_argument("--chunk", dest="chunk_size", type=int,
+                        help="streaming chunk size")
     parser.add_argument("--ridge", type=float,
                         help="ridge added to the initial Gram matrix")
-    parser.add_argument("--threshold-mode",
-                        choices=("calibrated", "zero", "recalibrate"),
+    parser.add_argument("--threshold-mode", choices=THRESHOLD_MODES,
                         help="how the decoding threshold is chosen")
-    parser.add_argument("--no-normalize", action="store_true", default=None,
+    parser.add_argument("--no-normalize", dest="normalize",
+                        action="store_false", default=None,
                         help="skip min-max feature scaling")
-    parser.add_argument("--name", help="dataset name used in reports")
+    parser.add_argument("--name", dest="dataset_name",
+                        help="dataset name used in reports")
     parser.add_argument("--seed", type=int, default=0, help="run seed")
 
 
@@ -107,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(e.g. the training split)")
         if command == "cv":
             p.add_argument("--folds", type=int, default=5, help="fold count")
-        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--out", dest="out_path",
+                       help="write output to this path")
         if command != "train":
             p.add_argument("--text", action="store_true",
                            help="aligned text output instead of JSON")
@@ -120,26 +131,9 @@ def _build_config(args) -> RunConfig:
     if args.defaults:
         merged.update(load_dataset_defaults(args.defaults))
         merged.setdefault("dataset_name", args.defaults)
-    overrides = {
-        "data_path": args.data,
-        "data_format": args.format,
-        "delimiter": args.delimiter,
-        "dataset_name": getattr(args, "name", None),
-        "n_train": getattr(args, "n_train", None),
-        "n_hidden": getattr(args, "hidden", None),
-        "n_init": getattr(args, "init", None),
-        "chunk_size": getattr(args, "chunk", None),
-        "ridge": getattr(args, "ridge", None),
-        "threshold_mode": getattr(args, "threshold_mode", None),
-        "min_one": getattr(args, "min_one", None),
-        "seed": getattr(args, "seed", None),
-        "out_path": args.out,
-    }
-    if args.labels is not None:
-        overrides["label_spec"] = _parse_label_spec(args.labels)
-    if getattr(args, "no_normalize", None):
-        overrides["normalize"] = False
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    flags = vars(args)
+    merged.update({f.name: flags[f.name] for f in fields(RunConfig)
+                   if flags.get(f.name) is not None})
     if not merged.get("data_path"):
         if args.defaults:
             merged["data_path"] = _default_data_path(args.defaults)

@@ -77,8 +77,8 @@ def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
     must have full column rank (typically n_samples >= n_hidden); rank
     deficiency raises SingularMatrixError instead of silently regularizing.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0.0 <= ridge < np.inf:  # also false for NaN
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     Y_bip = np.asarray(Y_bip, dtype=np.float64)
     H = hidden_map(params, X)
     if Y_bip.ndim != 2 or Y_bip.shape[0] != H.shape[0]:

@@ -13,6 +13,7 @@ import base64
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -32,7 +33,7 @@ from .online import OselmState, init_phase, look_ahead, update_chunk
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 THRESHOLD_MODES = ("calibrated", "zero", "recalibrate")
-# rows of the training stream mapped through the hidden layer per call
+# most rows of the training stream mapped and announced per block
 _MAP_ROWS = 256
 
 
@@ -80,20 +81,28 @@ class RunConfig:
             problems.append(f"data_format must be arff or csv, got {self.data_format!r}")
         if self.label_spec is None:
             problems.append("label_spec is required")
-        if self.n_hidden < 1:
-            problems.append(f"n_hidden must be >= 1, got {self.n_hidden}")
-        if self.n_init < 1:
-            problems.append(f"n_init must be >= 1, got {self.n_init}")
-        if self.chunk_size < 1:
-            problems.append(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.ridge < 0.0:
-            problems.append(f"ridge must be >= 0, got {self.ridge}")
+        for key in ("n_hidden", "n_init", "chunk_size", "n_train", "seed"):
+            value = getattr(self, key)
+            if key == "n_train" and value is None:
+                continue
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool)):
+                problems.append(f"{key} must be an integer, got {value!r}")
+            elif key != "seed" and value < 1:
+                problems.append(f"{key} must be >= 1, got {value}")
+        if (not isinstance(self.ridge, numbers.Real)
+                or isinstance(self.ridge, bool)
+                or not 0.0 <= self.ridge < math.inf):
+            problems.append(
+                f"ridge must be a finite number >= 0, got {self.ridge!r}")
         if self.threshold_mode not in THRESHOLD_MODES:
             problems.append(
                 f"threshold_mode must be one of {'/'.join(THRESHOLD_MODES)}, "
                 f"got {self.threshold_mode!r}")
-        if self.n_train is not None and self.n_train < 1:
-            problems.append(f"n_train must be >= 1, got {self.n_train}")
+        for key in ("min_one", "normalize"):
+            if not isinstance(getattr(self, key), bool):
+                problems.append(
+                    f"{key} must be true or false, got {getattr(self, key)!r}")
         if problems:
             raise ConfigError(problems)
 
@@ -230,21 +239,19 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     chunk = config.chunk_size
     n_epochs = math.ceil((n_train - n0) / chunk)
     # the hidden layer does not change while streaming, so whole chunks are
-    # mapped together, about _MAP_ROWS rows per call, instead of one skinny
-    # product per chunk
-    block_rows = max(1, _MAP_ROWS // chunk) * chunk
-    # whole chunks are announced to the update in sub-blocks: the corrections
-    # for a sub-block's earlier chunks cost about (its rows / n_hidden) of the
-    # product Hc M they replace, so at most n_hidden // 4 rows caps them at a
-    # quarter; at least one chunk
-    ahead_rows = max(1, config.n_hidden // 4 // chunk) * chunk
+    # mapped together and each mapped block is announced to the update. The
+    # corrections for a block's later chunks cost about (its rows / n_hidden)
+    # of the product Hc M they replace, which caps a block at n_hidden // 3
+    # rows and at least one chunk; blocks of one wide chunk map too few rows
+    # per call (at L=300, chunks of 50 and one BLAS thread they streamed 8%
+    # slower than blocks of two)
+    block_rows = max(1, min(_MAP_ROWS, config.n_hidden // 3) // chunk) * chunk
     t0 = time.perf_counter()
     for block in range(n0, n_train, block_rows):
         H = hidden_map(params, train.X[block:block + block_rows])
+        look_ahead(state, H)
         for start in range(block, min(block + block_rows, n_train), chunk):
             stop = min(start + chunk, n_train)
-            if (start - block) % ahead_rows == 0:
-                look_ahead(state, H[start - block:start - block + ahead_rows])
             Hc = H[start - block:stop - block]
             # one score product per chunk: the calibration and the update
             # share it and the chunk's hidden rows

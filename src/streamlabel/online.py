@@ -16,7 +16,7 @@ The two M-sized steps, the product and the downdate, run once per block of
 chunks, not once per chunk (a look-ahead):
 
 - ``look_ahead(state, H)`` announces the hidden rows of the next chunks and
-  projects them through M in one symmetric product, P = H M.
+  projects them through M in one product, P = H M.
 - ``update_chunk`` on the next announced rows takes T from its rows of P.
   The U rows of the block's chunks applied so far, stacked as V, are the
   pending downdate: the true inverse Gram matrix is M - V'V, so
@@ -31,11 +31,9 @@ come are folded and projected again.
 
 There is no M-sized temporary or copy: M is downdated in its own memory,
 so a caller holding a reference to ``state.M`` sees it change and should
-snapshot it with ``.copy()``. While streaming, M is kept as its lower
-triangle only: the product reads that triangle and the downdate writes it.
-Reading ``state.M`` folds the pending rows, fills in the upper triangle,
-once, and drops the look-ahead, so every M a caller sees is exact and
-exactly symmetric.
+snapshot it with ``.copy()``. Reading ``state.M`` folds the pending rows and
+drops the look-ahead, so every M a caller sees is exact and exactly
+symmetric.
 """
 
 import numpy as np
@@ -78,14 +76,12 @@ class OselmState:
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
     the accumulated hidden-feature Gram matrix. Updates write M in place
-    (snapshot it with ``.copy()`` to keep an old value) and keep only its
-    lower triangle current. Chunks applied since the last ``look_ahead``
-    are held back as a pending downdate; reading ``state.M`` folds them into
-    M, copies the lower triangle onto the upper one in place, once per
-    update, and drops the look-ahead, so the array returned is always the
-    same object, exact and exactly symmetric. Assigning ``state.M`` stores
-    the array as given and drops the pending rows and the look-ahead. beta
-    is replaced by a new array on each update.
+    (snapshot it with ``.copy()`` to keep an old value). Chunks applied
+    since the last ``look_ahead`` are held back as a pending downdate;
+    reading ``state.M`` folds them into M and drops the look-ahead, so the
+    array returned is always the same object, exact and exactly symmetric.
+    Assigning ``state.M`` stores the array as given and drops the pending
+    rows and the look-ahead. beta is replaced by a new array on each update.
     Single-writer: never update or read one state from two threads.
     """
 
@@ -99,15 +95,11 @@ class OselmState:
     @property
     def M(self) -> np.ndarray:
         _fold(self)
-        if self._upper_stale:
-            mirror_lower(self._M)
-            self._upper_stale = False
         return self._M
 
     @M.setter
     def M(self, value: np.ndarray) -> None:
         self._M = value
-        self._upper_stale = False
         self._ahead = None
 
     def __repr__(self) -> str:
@@ -121,10 +113,11 @@ def _fold(state: OselmState) -> None:
     ahead = state._ahead
     if ahead is not None and ahead.used:
         # V.T is an F-ordered view; dsyrk writes the upper triangle of the
-        # F-ordered view M.T, which is M's lower one, in M's own memory
+        # F-ordered view M.T, which is M's lower one, in M's own memory, and
+        # the mirror keeps M exactly symmetric for the product and the reader
         blas.dsyrk(-1.0, ahead.V[:ahead.used].T, beta=1.0, c=state._M.T,
                    overwrite_c=1)
-        state._upper_stale = True
+        mirror_lower(state._M)
     state._ahead = None
 
 
@@ -134,8 +127,8 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     With ridge 0 the block must make H0'H0 invertible, which in practice
     means at least n_hidden samples.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0.0 <= ridge < np.inf:  # also false for NaN
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     Y0 = np.asarray(Y0_bip, dtype=np.float64)
     H0 = hidden_map(params, X0)
     if Y0.ndim != 2 or Y0.shape[0] != H0.shape[0]:
@@ -266,7 +259,7 @@ def look_ahead(state: OselmState, H) -> OselmState:
     """Announce the hidden rows of the next chunks; mutates and returns it.
 
     Folds any pending downdate into M with one rank-k downdate, then
-    projects the rows through M with one symmetric product, P = H M. The
+    projects the rows through M with one product, P = H M. The
     update_chunk calls whose hidden rows are the next unconsumed rows of H,
     in order, take T = Hc M from P instead of from a product of their own.
     H is copied. Announcing again, or reading or assigning ``state.M``,
@@ -286,8 +279,6 @@ def look_ahead(state: OselmState, H) -> OselmState:
         M = np.array(M, dtype=np.float64, order="C")
         state._M = M
     _fold(state)
-    # M.T is an F-ordered view of M; dsymm reads only its upper triangle,
-    # which is M's lower one, the only triangle the downdate keeps current
-    P = blas.dsymm(1.0, M.T, H.T, side=0, lower=0).T
+    P = H @ M
     state._ahead = _LookAhead(H, P, _STALE_FRACTION * float(np.trace(M)))
     return state

@@ -204,7 +204,7 @@ def test_batch_train_rank_deficient_raises_and_ridge_recovers():
         batch_train(p, X, Y)
     beta = batch_train(p, X, Y, ridge=1e-6)
     assert np.all(np.isfinite(beta))
-    with pytest.raises(ValueError, match="ridge must be >= 0"):
+    with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
         batch_train(p, X, Y, ridge=-1.0)
 
 
