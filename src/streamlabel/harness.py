@@ -239,10 +239,10 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     chunk = config.chunk_size
     n_epochs = math.ceil((n_train - n0) / chunk)
     # the hidden layer does not change while streaming, so whole chunks are
-    # mapped together and each mapped block is announced to the update. The
-    # corrections for a block's later chunks cost about (its rows / n_hidden)
-    # of the product Hc M they replace, which caps a block at n_hidden // 3
-    # rows and at least one chunk; blocks of one wide chunk map too few rows
+    # mapped together and each mapped block is announced to the update. Its
+    # gain solve, P H' and F^-1 P, costs about 1.5 (its rows / n_hidden) of
+    # the projection P = H M, which caps a block at n_hidden // 3 rows and
+    # at least one chunk; blocks of one wide chunk map too few rows
     # per call (at L=300, chunks of 50 and one BLAS thread they streamed 8%
     # slower than blocks of two)
     block_rows = max(1, min(_MAP_ROWS, config.n_hidden // 3) // chunk) * chunk

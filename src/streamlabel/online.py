@@ -6,35 +6,29 @@ a single sample is a chunk of one. For any chunking of the stream, the final
 weights match a batch least-squares fit over all samples seen, up to
 rounding.
 
-A chunk of c rows Hc needs T = Hc M, one c x c Cholesky factor
-F F' = I + T Hc', one triangular solve U = F^-1 T, the downdate M -= U'U
-and the gain-form weight step beta += U'F^-1 (Yc - Hc beta), which needs
-no second pass over M; a caller that already holds the chunk's scores
-Hc beta passes them as ``scores=`` and they are not recomputed.
+The gain depends on the hidden rows and M only, not on the targets, so it
+is solved once per block of chunks (a look-ahead):
 
-The two M-sized steps, the product and the downdate, run once per block of
-chunks, not once per chunk (a look-ahead):
+- ``look_ahead(state, H)`` announces the hidden rows of the next chunks. It
+  projects them through M, P = H M, factors the block's gain
+  F F' = I + P H' and solves U = F^-1 P. F is lower triangular, so once the
+  rows before it are applied, the chunk on rows r0:r1 has the gain factor
+  F[r0:r1, r0:r1] and the downdate M -= U[r0:r1]'U[r0:r1].
+- ``update_chunk`` on the next announced rows only steps beta, which costs
+  O(c L m) and does not touch M; a caller that already holds the chunk's
+  scores Hc beta passes them as ``scores=``.
+- The next ``look_ahead`` folds the applied rows into M with one rank-k
+  downdate, M -= U[:used]'U[:used].
 
-- ``look_ahead(state, H)`` announces the hidden rows of the next chunks and
-  projects them through M in one product, P = H M.
-- ``update_chunk`` on the next announced rows takes T from its rows of P.
-  The U rows of the block's chunks applied so far, stacked as V, are the
-  pending downdate: the true inverse Gram matrix is M - V'V, so
-  T = P_rows - (Hc V') V. Each chunk's U joins V instead of touching M.
-- The next ``look_ahead`` folds V into M with one rank-k downdate.
-
-Rows that were not announced get a one-chunk look-ahead of their own,
-which costs what a per-chunk update costs. A deferred correction cancels
-against its stale projection, so once the pending downdate has removed
-more than half of trace(M) as it stood at projection, the rows still to
-come are folded and projected again.
-
-There is no M-sized temporary or copy: M is downdated in its own memory,
-so a caller holding a reference to ``state.M`` sees it change and should
-snapshot it with ``.copy()``. Reading ``state.M`` folds the pending rows and
-drops the look-ahead, so every M a caller sees is exact and exactly
+Rows that were not announced get a one-chunk look-ahead of their own, which
+costs what a per-chunk update costs. M is downdated in its own memory, so a
+caller holding a reference to ``state.M`` sees it change and should
+snapshot it with ``.copy()``. Reading ``state.M`` folds the applied rows and
+keeps the rest of the block, so every M a caller sees is exact and exactly
 symmetric.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
@@ -43,32 +37,30 @@ from .elm import ElmParams, hidden_map
 from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
 
 
-# The guard: once the pending downdate V'V has removed more than this share
-# of trace(M) as it stood at projection, T = P_rows - (Hc V')V subtracts
-# nearly equal terms and loses digits that the direct product keeps, so the
-# rows still to come are projected again through the folded M. Shares from
-# a tenth to a half gave the same accuracy on ill-conditioned streams; the
-# largest re-projects least.
+# The guard: the block's factor solves row i of U as its projection less the
+# share the rows before it took. Once those rows have removed more than this
+# share of trace(M) as it stood at projection, the two nearly cancel and lose
+# digits that a fresh projection keeps, so a chunk that starts past that row
+# folds the applied rows and announces the rest again. With one BLAS thread
+# and no guard, the stiff streams of tests/test_online.py end 1.4x (100-row
+# blocks) and 1.7x (255-row blocks) further from lstsq than the per-chunk
+# update; with the guard, 1.1x. Shares from a tenth to a half do the same.
 _STALE_FRACTION = 0.5
 
 
+@dataclass(slots=True)
 class _LookAhead:
-    """Announced hidden rows H, their projection P = H M, and the V buffer.
+    """Announced rows H, gain factor F F' = I + H M H' and U = F^-1 H M.
 
-    V[:used] holds the U rows of the chunks applied since the projection:
-    the pending downdate. ``removed`` is ||V[:used]||_F^2, the trace it took
-    off M; past ``budget`` the guard re-projects.
+    Rows [:used] are applied to beta and not yet folded into M. A chunk may
+    start at any row up to ``trusted`` (see _STALE_FRACTION).
     """
 
-    __slots__ = ("H", "P", "V", "used", "removed", "budget")
-
-    def __init__(self, H: np.ndarray, P: np.ndarray, budget: float):
-        self.H = H
-        self.P = P
-        self.V = np.empty_like(P)
-        self.used = 0
-        self.removed = 0.0
-        self.budget = budget
+    H: np.ndarray
+    F: np.ndarray
+    U: np.ndarray
+    trusted: int
+    used: int = 0
 
 
 class OselmState:
@@ -76,13 +68,14 @@ class OselmState:
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
     the accumulated hidden-feature Gram matrix. Updates write M in place
-    (snapshot it with ``.copy()`` to keep an old value). Chunks applied
-    since the last ``look_ahead`` are held back as a pending downdate;
-    reading ``state.M`` folds them into M and drops the look-ahead, so the
-    array returned is always the same object, exact and exactly symmetric.
-    Assigning ``state.M`` stores the array as given and drops the pending
-    rows and the look-ahead. beta is replaced by a new array on each update.
-    Single-writer: never update or read one state from two threads.
+    (snapshot it with ``.copy()`` to keep an old value). The downdates of
+    chunks applied since the last ``look_ahead`` are held back; reading
+    ``state.M`` folds them in and keeps the announced rows still to come, so
+    the array returned is always the same object, exact and exactly
+    symmetric. Assigning ``state.M`` stores the array as given and drops the
+    held-back downdates and the look-ahead. beta is replaced by a new array
+    on each update. Single-writer: never update or read one state from two
+    threads.
     """
 
     def __init__(self, beta: np.ndarray, M: np.ndarray, samples_seen: int,
@@ -109,16 +102,22 @@ class OselmState:
 
 
 def _fold(state: OselmState) -> None:
-    """Apply the pending downdate, M -= V'V, and drop the look-ahead."""
+    """Fold the applied rows, M -= U[:used]'U[:used], and keep the rest.
+
+    The rows still to come keep their factor and U rows, which do not depend
+    on when M is folded.
+    """
     ahead = state._ahead
-    if ahead is not None and ahead.used:
-        # V.T is an F-ordered view; dsyrk writes the upper triangle of the
-        # F-ordered view M.T, which is M's lower one, in M's own memory, and
-        # the mirror keeps M exactly symmetric for the product and the reader
-        blas.dsyrk(-1.0, ahead.V[:ahead.used].T, beta=1.0, c=state._M.T,
-                   overwrite_c=1)
-        mirror_lower(state._M)
-    state._ahead = None
+    if ahead is None or not ahead.used:
+        return
+    u = ahead.used
+    # U.T is an F-ordered view; dsyrk writes the upper triangle of the
+    # F-ordered view M.T, which is M's lower one, in M's own memory, and the
+    # mirror keeps M exactly symmetric for the product and the reader
+    blas.dsyrk(-1.0, ahead.U[:u].T, beta=1.0, c=state._M.T, overwrite_c=1)
+    mirror_lower(state._M)
+    ahead.H, ahead.F, ahead.U = ahead.H[u:], ahead.F[u:, u:], ahead.U[u:]
+    ahead.trusted, ahead.used = ahead.trusted - u, 0
 
 
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
@@ -165,18 +164,19 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
                  Hc=None, scores=None) -> OselmState:
     """Block update for a chunk of samples; mutates and returns the state.
 
-    With T = Hc M, the Cholesky factor F F' = I + T Hc' and U = F^-1 T:
+    With the Cholesky factor F F' = I + Hc M Hc' and U = F^-1 Hc M:
         M' = M - U'U
         beta' = beta + U'F^-1 (Yc - Hc beta)
     the matrix-inversion-lemma form of recursive least squares. Hc, the
     hidden-layer rows of Xc, and scores, the chunk's raw outputs Hc beta
     under the current weights, are computed here unless the caller passes
-    them. T comes from the look-ahead when Hc equals the next announced
-    rows; otherwise this call announces Hc itself. U'U is held back as a
-    pending downdate of M (see the module docstring). A NaN or inf in the
-    chunk, the scores, beta or M raises ValueError. Every check runs before
-    beta, samples_seen or the value of M is touched, so an update that
-    raises leaves them as they were.
+    them. When Hc is the next announced rows, F and U come from the
+    look-ahead and only the beta step runs here; otherwise this call
+    announces Hc itself. U'U is held back from M (see the module docstring).
+    A NaN or inf in the chunk, the scores, beta or M raises ValueError, and a
+    singular gain SingularMatrixError. Every check runs before beta,
+    samples_seen or the value of M is touched, so an update that raises
+    leaves them as they were.
     """
     Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
@@ -194,7 +194,7 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     if Yc.shape != (c, m):
         raise ValueError(
             f"chunk target shape {Yc.shape} does not match ({c}, {m})")
-    # the private array: reading state.M would fold the pending downdate
+    # the private array: reading state.M would fold the applied rows
     M = state._M
     if M.shape != (L, L) or state.beta.shape[0] != L:
         raise ValueError(
@@ -218,39 +218,20 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     if ahead is None or not np.array_equal(
             Hc, ahead.H[ahead.used:ahead.used + c]):
         ahead = look_ahead(state, Hc)._ahead
-    elif ahead.removed > ahead.budget:
-        # the staleness guard (see _STALE_FRACTION): fold, then re-project
-        # the rows still to come
+    elif ahead.used > ahead.trusted:
+        # the staleness guard (see _STALE_FRACTION): fold, then announce the
+        # rows still to come again
         ahead = look_ahead(state, ahead.H[ahead.used:])._ahead
     r0, r1 = ahead.used, ahead.used + c
-    # T = Hc (M - V'V) from the projection, written into the rows of V that
-    # take this chunk's U
-    T = ahead.V[r0:r1]
-    T[...] = ahead.P[r0:r1]
-    if r0:
-        done = ahead.V[:r0]
-        T -= (Hc @ done.T) @ done
-    K = np.eye(c) + T @ Hc.T
-    # Hc M Hc' is symmetric only up to roundoff; enforce it before factoring
-    K = 0.5 * (K + K.T)
-    try:
-        F = cholesky_spd(K, "update_chunk")
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"update_chunk: gain matrix is singular (pivot {err.pivot})",
-            pivot=err.pivot) from err
-    # T.T is an F-ordered view, so dtrsm solves U' F' = T' in T's memory;
-    # w' F' = r' likewise gives w = F^-1 r in the residual's memory
-    Ut = blas.dtrsm(1.0, F, T.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    # w' F' = r' gives w = F^-1 r in the residual's memory
     residual = Yc - scores
-    w = blas.dtrsm(1.0, F, residual.T, side=1, lower=1, trans_a=1,
-                   overwrite_b=1).T
+    w = blas.dtrsm(1.0, ahead.F[r0:r1, r0:r1], residual.T, side=1, lower=1,
+                   trans_a=1, overwrite_b=1).T
 
-    # All checks passed: U joins the pending downdate, and M is untouched
-    # until the next look_ahead or read of state.M folds it in
+    # All checks passed: the chunk's downdate is held back until the next
+    # look_ahead or read of state.M folds it in
     ahead.used = r1
-    ahead.removed += float(np.vdot(T, T))  # T holds U now
-    state.beta = state.beta + Ut @ w
+    state.beta = state.beta + ahead.U[r0:r1].T @ w
     state.samples_seen += c
     return state
 
@@ -258,13 +239,15 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
 def look_ahead(state: OselmState, H) -> OselmState:
     """Announce the hidden rows of the next chunks; mutates and returns it.
 
-    Folds any pending downdate into M with one rank-k downdate, then
-    projects the rows through M with one product, P = H M. The
-    update_chunk calls whose hidden rows are the next unconsumed rows of H,
-    in order, take T = Hc M from P instead of from a product of their own.
-    H is copied. Announcing again, or reading or assigning ``state.M``,
-    drops the rows not yet consumed; rows that never arrive cost nothing
-    more.
+    Folds the applied rows of the last block into M with one rank-k
+    downdate, projects H through M with one product, P = H M, and solves the
+    block's gain once: the Cholesky factor F F' = I + P H' and U = F^-1 P.
+    The update_chunk calls whose hidden rows are the next unconsumed rows of
+    H, in order, take their factor and downdate rows from F and U. H is
+    copied. A singular gain raises SingularMatrixError and leaves beta, M
+    and samples_seen as they were, with nothing announced. Announcing again,
+    or assigning ``state.M``, drops the rows not yet consumed; rows that
+    never arrive cost nothing more.
     """
     M = state._M
     H = np.array(H, dtype=np.float64, order="C")
@@ -279,6 +262,20 @@ def look_ahead(state: OselmState, H) -> OselmState:
         M = np.array(M, dtype=np.float64, order="C")
         state._M = M
     _fold(state)
+    state._ahead = None
     P = H @ M
-    state._ahead = _LookAhead(H, P, _STALE_FRACTION * float(np.trace(M)))
+    K = np.eye(len(H)) + P @ H.T
+    # H M H' is symmetric only up to roundoff; enforce it before factoring
+    K = 0.5 * (K + K.T)
+    try:
+        F = cholesky_spd(K, "look_ahead")
+    except SingularMatrixError as err:
+        raise SingularMatrixError(
+            f"look_ahead: gain matrix is singular (pivot {err.pivot})",
+            pivot=err.pivot) from err
+    # P.T is an F-ordered view, so dtrsm solves U' F' = P' in P's memory
+    U = blas.dtrsm(1.0, F, P.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    removed = np.einsum("ij,ij->i", U, U).cumsum()
+    trusted = int(removed.searchsorted(_STALE_FRACTION * M.trace(), "right"))
+    state._ahead = _LookAhead(H, F, U, trusted)
     return state

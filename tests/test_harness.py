@@ -623,3 +623,46 @@ def test_train_stream_sweeps_m_once_per_block(monkeypatch):
     # fold runs in update_chunk outside a look-ahead
     assert folds[0] == "other"
     assert sorted(folds[1:]) == sorted(tag for tag, _ in projections[1:])
+
+
+def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
+    # the design: look_ahead factors a block's gain once and folds the block
+    # before it; an announced update_chunk only steps beta
+    import streamlabel.online as online
+    events = []
+
+    def logged(tag, fn):
+        def wrapper(*args, **kwargs):
+            events.append(tag)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def bracketed(fn):
+        def update_chunk(*args, **kwargs):
+            events.append("(")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                events.append(")")
+        return update_chunk
+
+    monkeypatch.setattr(online, "cholesky_spd",
+                        logged("factor", online.cholesky_spd))
+    monkeypatch.setattr(online.blas, "dsyrk",
+                        logged("fold", online.blas.dsyrk))
+    monkeypatch.setattr(harness, "look_ahead",
+                        logged("announce", harness.look_ahead))
+    monkeypatch.setattr(harness, "update_chunk",
+                        bracketed(harness.update_chunk))
+    # 300 initial rows keep M well conditioned, so no block's rows take half
+    # its trace and the staleness guard never fires: 20 blocks of 24 rows,
+    # six chunks each
+    bundle = synthetic_bundle(780, 30, 4, seed=45)
+    config = _config(n_hidden=80, n_init=300, chunk_size=4, label_spec=4)
+    model = train_stream(config, bundle)
+
+    assert model.n_epochs == 120
+    assert events[0] == "fold"  # init_phase's Gram matrix
+    block = ["(", ")"] * 6
+    assert events[1:] == (["announce", "factor"] + block
+                          + (["announce", "fold", "factor"] + block) * 19)
