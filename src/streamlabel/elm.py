@@ -8,9 +8,13 @@ weights are fit, by least squares here or in :mod:`streamlabel.online`.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
-from .numerics import SingularMatrixError, cholesky_spd, make_rng
+from .numerics import SingularMatrixError, cholesky_spd, make_rng, mirror_lower
+
+# most rows mapped to hidden features at once: every path that maps many rows
+# works one block at a time, so no (n, n_hidden) array is made
+_MAP_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -47,13 +51,8 @@ def init_params(n_features: int, n_hidden: int, seed: int) -> ElmParams:
     return ElmParams(W=W, b=b)
 
 
-def hidden_map(params: ElmParams, X) -> np.ndarray:
-    """Hidden-layer feature matrix H: H[j, i] = sigmoid(w_i . x_j + b_i).
-
-    The sigmoid is 1 / (1 + exp(-t)), computed in the result's own memory,
-    so no second (n, n_hidden) array is made. exp(-t) overflows to inf for
-    t below about -709, which gives exactly 0.0; NaN stays NaN.
-    """
+def _as_rows(params: ElmParams, X) -> np.ndarray:
+    """X as a float64 matrix with one column per input feature."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got ndim={X.ndim}")
@@ -61,7 +60,17 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
         raise ValueError(
             f"feature dimension mismatch: X has {X.shape[1]} columns, "
             f"hidden layer expects {params.n_features}")
-    H = X @ params.W.T
+    return X
+
+
+def hidden_map(params: ElmParams, X) -> np.ndarray:
+    """Hidden-layer feature matrix H: H[j, i] = sigmoid(w_i . x_j + b_i).
+
+    The sigmoid is 1 / (1 + exp(-t)), computed in the result's own memory,
+    so no second (n, n_hidden) array is made. exp(-t) overflows to inf for
+    t below about -709, which gives exactly 0.0; NaN stays NaN.
+    """
+    H = _as_rows(params, X) @ params.W.T
     # -b - H rounds to exactly -(H + b): rounding is symmetric about zero
     np.subtract(-params.b, H, out=H)
     with np.errstate(over="ignore"):
@@ -70,22 +79,43 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
     return np.reciprocal(H, out=H)
 
 
+def _normal_equations(params: ElmParams, X, Y, ridge: float):
+    """(H'H + ridge*I, H'Y) for the hidden rows H of X, mapped in blocks.
+
+    Each block of at most _MAP_ROWS rows is added to the Gram matrix with
+    one dsyrk and to H'Y with one product, so no (n, n_hidden) array is
+    made. The Gram matrix is C-ordered and exactly symmetric.
+    """
+    X = _as_rows(params, X)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
+        raise ValueError(
+            f"target shape {Y.shape} does not match {X.shape[0]} samples")
+    L = params.n_hidden
+    gram = np.zeros((L, L))
+    HY = np.zeros((L, Y.shape[1]))
+    for i in range(0, len(X), _MAP_ROWS):
+        H = hidden_map(params, X[i:i + _MAP_ROWS])
+        # H.T and gram.T are F-ordered views, so dsyrk reads H and adds H'H
+        # to gram's lower triangle in gram's own memory
+        blas.dsyrk(1.0, H.T, beta=1.0, c=gram.T, overwrite_c=1)
+        HY += H.T @ Y[i:i + _MAP_ROWS]
+    gram[np.diag_indices_from(gram)] += ridge
+    mirror_lower(gram)
+    return gram, HY
+
+
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
     """Least-squares output weights: beta = (H'H + ridge*I)^-1 H'Y_bip.
 
-    One checked Cholesky factor of the normal equations. With ridge 0, H
-    must have full column rank (typically n_samples >= n_hidden); rank
-    deficiency raises SingularMatrixError instead of silently regularizing.
+    One checked Cholesky factor of the normal equations, which are summed
+    over blocks of rows. With ridge 0, H must have full column rank
+    (typically n_samples >= n_hidden); rank deficiency raises
+    SingularMatrixError instead of silently regularizing.
     """
     if not 0.0 <= ridge < np.inf:  # also false for NaN
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
-    Y_bip = np.asarray(Y_bip, dtype=np.float64)
-    H = hidden_map(params, X)
-    if Y_bip.ndim != 2 or Y_bip.shape[0] != H.shape[0]:
-        raise ValueError(
-            f"target shape {Y_bip.shape} does not match {H.shape[0]} samples")
-    gram = H.T @ H
-    gram[np.diag_indices_from(gram)] += ridge
+    gram, HY = _normal_equations(params, X, Y_bip, ridge)
     try:
         factor = cholesky_spd(gram, "batch_train")
     except SingularMatrixError as err:
@@ -93,13 +123,25 @@ def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
             f"batch_train: H'H is singular (pivot {err.pivot}); "
             "H is rank deficient, pass ridge > 0 or add rows",
             pivot=err.pivot) from err
-    return lapack.dpotrs(factor, H.T @ Y_bip, lower=1)[0]
+    return lapack.dpotrs(factor, HY, lower=1)[0]
 
 
 def predict_raw(params: ElmParams, beta, X) -> np.ndarray:
-    """Raw network outputs H @ beta, one row of real scores per sample."""
+    """Raw network outputs H @ beta, one row of real scores per sample.
+
+    Rows are mapped and multiplied one block of 256 (_MAP_ROWS) at a time
+    into the (n, n_labels) result; a single block is one product, with no
+    buffer.
+    """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 2 or beta.shape[0] != params.n_hidden:
         raise ValueError(
             f"beta shape {beta.shape} does not match n_hidden={params.n_hidden}")
-    return hidden_map(params, X) @ beta
+    X = _as_rows(params, X)
+    if len(X) <= _MAP_ROWS:
+        return hidden_map(params, X) @ beta
+    out = np.empty((len(X), beta.shape[1]))
+    for i in range(0, len(X), _MAP_ROWS):
+        np.matmul(hidden_map(params, X[i:i + _MAP_ROWS]), beta,
+                  out=out[i:i + _MAP_ROWS])
+    return out

@@ -1,12 +1,17 @@
 """Benchmark driver: streaming train/eval runs, cross-validation, persistence.
 
-Runs take loaded bundles. A streaming run is: split -> normalize -> encode
-labels -> solve the initial block -> per block of chunks (announce their
-hidden rows to the update) -> per-chunk (predict raw, fold scores into the
-threshold calibration, recursive update) -> pick threshold -> decode test
-set -> score. Training time covers the initial solve, the
-sequential phase and threshold selection; test time covers raw prediction
-plus decoding. Data loading and normalization are excluded from both.
+Runs take loaded bundles. A streaming run is: split -> fit normalization
+-> encode labels -> solve the initial block -> per block of chunks
+(normalize and map their rows, announce the hidden rows to the update) ->
+per-chunk (predict raw, fold scores into the threshold calibration,
+recursive update) -> pick threshold -> decode test set -> score. Rows are
+normalized as they are mapped, one block at a time, so a run holds its data,
+M and a few blocks of derived rows, never a normalized copy of a split or
+an (n, n_hidden) hidden matrix; only the initial block is normalized whole.
+Training time covers normalizing and solving the initial block, the
+sequential phase and threshold selection; test time covers normalizing,
+raw prediction and decoding. Data loading and fitting the normalization
+(each feature's min and max) are excluded from both.
 """
 
 import base64
@@ -21,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (DatasetBundle, NormStats, normalize_apply, normalize_fit,
+from .dataio import (DatasetBundle, NormStats, _normalize_rows, normalize_fit,
                      take_rows)
-from .elm import ElmParams, hidden_map, init_params, predict_raw
+from .elm import _MAP_ROWS, ElmParams, hidden_map, init_params, predict_raw
 from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
@@ -33,8 +38,6 @@ from .online import OselmState, init_phase, look_ahead, update_chunk
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 THRESHOLD_MODES = ("calibrated", "zero", "recalibrate")
-# most rows of the training stream mapped and announced per block
-_MAP_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -223,16 +226,14 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
             f"initial block (N0={n0}) consumes all {n_train} training "
             "samples; need more training data or a smaller n_hidden/n_init")
 
-    norm_stats = None
-    if config.normalize:
-        norm_stats = normalize_fit(train)
-        train = normalize_apply(norm_stats, train)
+    norm_stats = normalize_fit(train) if config.normalize else None
     truth = label_matrix(train.labelsets, train.m)
     targets = np.where(truth, 1.0, -1.0)
     params = init_params(train.n_features, config.n_hidden, config.seed)
 
     t0 = time.perf_counter()
-    state = init_phase(params, train.X[:n0], targets[:n0], config.ridge)
+    state = init_phase(params, _normalized(norm_stats, train.X[:n0]),
+                       targets[:n0], config.ridge)
     init_s = time.perf_counter() - t0
 
     calib = ThresholdCalib()
@@ -248,17 +249,19 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     block_rows = max(1, min(_MAP_ROWS, config.n_hidden // 3) // chunk) * chunk
     t0 = time.perf_counter()
     for block in range(n0, n_train, block_rows):
-        H = hidden_map(params, train.X[block:block + block_rows])
+        X = _normalized(norm_stats, train.X[block:block + block_rows])
+        H = hidden_map(params, X)
         look_ahead(state, H)
         for start in range(block, min(block + block_rows, n_train), chunk):
             stop = min(start + chunk, n_train)
-            Hc = H[start - block:stop - block]
+            rows = slice(start - block, stop - block)
+            Hc = H[rows]
             # one score product per chunk: the calibration and the update
             # share it and the chunk's hidden rows
             raw = Hc @ state.beta
             calibrate_chunk(calib, raw, truth[start:stop])
-            update_chunk(state, params, train.X[start:stop],
-                         targets[start:stop], Hc=Hc, scores=raw)
+            update_chunk(state, params, X[rows], targets[start:stop], Hc=Hc,
+                         scores=raw)
     seq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -267,8 +270,11 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     elif config.threshold_mode == "calibrated":
         threshold = threshold_value(calib)
     else:  # recalibrate: post-hoc pass over all training data with final beta
-        post = calibrate_chunk(ThresholdCalib(),
-                               predict_raw(params, state.beta, train.X), truth)
+        # block by block, which equals one calibrate_chunk over all rows
+        # (the extrema fold row by row)
+        post = ThresholdCalib()
+        for start, raw in _raw_blocks(params, state.beta, norm_stats, train.X):
+            calibrate_chunk(post, raw, truth[start:start + len(raw)])
         threshold = threshold_value(post)
     threshold_s = time.perf_counter() - t0
 
@@ -277,15 +283,33 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
                         init_s=init_s, seq_s=seq_s, threshold_s=threshold_s)
 
 
+def _normalized(norm_stats: NormStats | None, X) -> np.ndarray:
+    return X if norm_stats is None else _normalize_rows(norm_stats, X)
+
+
+def _raw_blocks(params: ElmParams, beta, norm_stats: NormStats | None, X):
+    """Yield (first row, raw scores) per block of _MAP_ROWS rows of X.
+
+    Each block is normalized as it is mapped. An X with no rows is one empty
+    block, so its shapes are still checked.
+    """
+    for start in range(0, max(len(X), 1), _MAP_ROWS):
+        rows = _normalized(norm_stats, X[start:start + _MAP_ROWS])
+        yield start, predict_raw(params, beta, rows)
+
+
 def predict_sets(params: ElmParams, beta, threshold: float,
                  norm_stats: NormStats | None, bundle: DatasetBundle,
                  min_one: bool = False):
-    """Decode one label set per bundle row; returns (label sets, seconds)."""
-    if norm_stats is not None:
-        bundle = normalize_apply(norm_stats, bundle)
+    """Decode one label set per bundle row; returns (label sets, seconds).
+
+    Rows are normalized, mapped and decoded one block at a time, and the
+    seconds cover all three.
+    """
     t0 = time.perf_counter()
-    raw = predict_raw(params, beta, bundle.X)
-    preds = decode_rows(raw, threshold, min_one)
+    preds = []
+    for _, raw in _raw_blocks(params, beta, norm_stats, bundle.X):
+        preds += decode_rows(raw, threshold, min_one)
     elapsed = time.perf_counter() - t0
     return preds, elapsed
 

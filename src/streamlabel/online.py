@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .elm import ElmParams, hidden_map
+from .elm import ElmParams, _normal_equations, hidden_map
 from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
 
 
@@ -123,22 +123,13 @@ def _fold(state: OselmState) -> None:
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     """Solve the initial block: M = (H0'H0 + ridge*I)^-1, beta = M H0' Y0.
 
-    With ridge 0 the block must make H0'H0 invertible, which in practice
-    means at least n_hidden samples.
+    H0'H0 and H0'Y0 are summed over blocks of rows, as in batch_train, so
+    H0 is never held whole. With ridge 0 the block must make H0'H0
+    invertible, which in practice means at least n_hidden samples.
     """
     if not 0.0 <= ridge < np.inf:  # also false for NaN
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
-    Y0 = np.asarray(Y0_bip, dtype=np.float64)
-    H0 = hidden_map(params, X0)
-    if Y0.ndim != 2 or Y0.shape[0] != H0.shape[0]:
-        raise ValueError(
-            f"target shape {Y0.shape} does not match {H0.shape[0]} samples")
-    # H0.T is an F-ordered view, so dsyrk reads H0 without a copy; it fills
-    # the upper triangle of the F-ordered result, the lower one of its .T
-    gram = blas.dsyrk(1.0, H0.T).T
-    if ridge > 0.0:
-        gram[np.diag_indices_from(gram)] += ridge
-    mirror_lower(gram)
+    gram, HY = _normal_equations(params, X0, Y0_bip, ridge)
     try:
         M = inv_spd(gram)
     except SingularMatrixError as err:
@@ -147,8 +138,8 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
             f"use a larger initial block (>= {params.n_hidden} samples) "
             "or a positive ridge",
             pivot=err.pivot) from err
-    beta = M @ (H0.T @ Y0)
-    return OselmState(beta=beta, M=M, samples_seen=H0.shape[0],
+    beta = M @ HY
+    return OselmState(beta=beta, M=M, samples_seen=len(X0),
                       ridge_used=float(ridge))
 
 

@@ -252,3 +252,24 @@ def test_normalize_feature_count_check():
     with pytest.raises(ValueError):
         normalize_apply(normalize_fit(bundle), other)
 
+
+
+def test_normalize_bits_match_two_step_formula():
+    # one allocation (subtract, then divide in place) gives the bits of
+    # (X - min) / span, with the zero-span column set to 0
+    train = synthetic_bundle(300, 5, 2, seed=10)
+    X = train.X.copy()
+    X[:, 2] = 3.25
+    train = DatasetBundle(X=X, labelsets=train.labelsets, m=2,
+                          feature_names=train.feature_names,
+                          label_names=train.label_names, source="inline")
+    test = synthetic_bundle(200, 5, 2, seed=11)
+    stats = normalize_fit(train)
+    span = stats.max_ - stats.min_
+    for bundle in (train, test):
+        want = (bundle.X - stats.min_) / np.where(span > 0.0, span, 1.0)
+        want[:, span == 0.0] = 0.0
+        got = normalize_apply(stats, bundle).X
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert np.all(normalize_apply(stats, test).X[:, 2] == 0.0)

@@ -236,3 +236,62 @@ def test_predict_raw_beta_dim_check():
     p = init_params(3, 5, seed=1)
     with pytest.raises(ValueError):
         predict_raw(p, np.zeros((4, 2)), np.ones((2, 3)))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_predict_raw_memory_does_not_grow_with_rows():
+    # rows are mapped one block at a time: 4x the rows adds only the
+    # (n, 3) output, not another (n, 400) hidden matrix
+    p = init_params(20, 400, seed=12)
+    rng = np.random.default_rng(13)
+    beta = rng.normal(size=(400, 3))
+    X_small, X_large = rng.normal(size=(2048, 20)), rng.normal(size=(8192, 20))
+    small = _traced_peak(predict_raw, p, beta, X_small)
+    large = _traced_peak(predict_raw, p, beta, X_large)
+    assert large <= 1.5 * small
+
+
+def test_predict_raw_blocks_match_row_by_row():
+    # 513 rows: two full blocks of 256 and one row past the edge
+    p = init_params(7, 30, seed=14)
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(513, 7))
+    beta = rng.normal(size=(30, 4))
+    want = np.vstack([hidden_map(p, X[j:j + 1]) @ beta for j in range(513)])
+    got = predict_raw(p, beta, X)
+    assert got.shape == (513, 4)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_batch_train_memory_does_not_grow_with_rows():
+    p = init_params(20, 200, seed=16)
+    rng = np.random.default_rng(17)
+    X_small, X_large = rng.normal(size=(1024, 20)), rng.normal(size=(4096, 20))
+    Y_small = np.where(rng.random((1024, 3)) < 0.5, 1.0, -1.0)
+    Y_large = np.where(rng.random((4096, 3)) < 0.5, 1.0, -1.0)
+    small = _traced_peak(batch_train, p, X_small, Y_small, 1e-6)
+    large = _traced_peak(batch_train, p, X_large, Y_large, 1e-6)
+    assert large <= 1.5 * small
+
+
+def test_batch_train_blocks_match_one_block():
+    # 700 rows are three blocks; the reference maps them in one
+    p = init_params(10, 40, seed=18)
+    rng = np.random.default_rng(19)
+    X = rng.uniform(size=(700, 10))
+    Y = np.where(rng.random((700, 5)) < 0.5, 1.0, -1.0)
+    H = hidden_map(p, X)
+    want = np.linalg.solve(H.T @ H + 1e-8 * np.eye(40), H.T @ Y)
+    got = batch_train(p, X, Y, ridge=1e-8)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -1,17 +1,21 @@
 import dataclasses
 import json
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
-                         cv_folds, emit_report, harness, init_params,
+                         ThresholdCalib, calibrate_chunk, cv_folds,
+                         decode_rows, emit_report, harness, init_params,
                          init_phase, load_dataset, load_dataset_defaults,
-                         load_model, predict_raw, predict_sets, run_cv_bundle,
-                         run_stream_split, save_model, split, train_stream,
-                         update_chunk)
+                         load_model, normalize_apply, normalize_fit,
+                         predict_raw, predict_sets, run_cv_bundle,
+                         run_stream_split, save_model, split,
+                         threshold_value, train_stream, update_chunk)
 from streamlabel.cli import main
 
 from conftest import golden_run_report, separable_bundle, synthetic_bundle
@@ -508,7 +512,7 @@ def test_train_stream_maps_whole_chunks_in_blocks(monkeypatch, chunk):
     assert map_ends <= chunk_ends
 
     # the same stream, one hidden map per chunk
-    norm = harness.normalize_apply(harness.normalize_fit(bundle), bundle)
+    norm = normalize_apply(normalize_fit(bundle), bundle)
     targets = np.where(harness.label_matrix(norm.labelsets, norm.m), 1.0, -1.0)
     params = init_params(6, 20, config.seed)
     state = init_phase(params, norm.X[:100], targets[:100])
@@ -541,7 +545,7 @@ def test_train_stream_look_ahead_matches_per_chunk_loop(monkeypatch):
     model = train_stream(config, bundle)
 
     # the same stream with no announcements: one look-ahead per chunk
-    norm = harness.normalize_apply(harness.normalize_fit(bundle), bundle)
+    norm = normalize_apply(normalize_fit(bundle), bundle)
     truth = harness.label_matrix(norm.labelsets, norm.m)
     targets = np.where(truth, 1.0, -1.0)
     params = init_params(30, 80, config.seed)
@@ -571,6 +575,7 @@ def test_train_stream_look_ahead_matches_per_chunk_loop(monkeypatch):
 
 
 def test_train_stream_sweeps_m_once_per_block(monkeypatch):
+    import streamlabel.elm as elm
     import streamlabel.online as online
     real_blas = online.blas
     real_look_ahead = online.look_ahead
@@ -600,6 +605,7 @@ def test_train_stream_sweeps_m_once_per_block(monkeypatch):
         return look_ahead
 
     monkeypatch.setattr(online, "blas", CountingBlas())
+    monkeypatch.setattr(elm, "blas", CountingBlas())
     # train_stream announces; update_chunk re-projects when the staleness
     # guard fires, or when its rows were not announced
     monkeypatch.setattr(harness, "look_ahead", tagged("train_stream"))
@@ -618,11 +624,12 @@ def test_train_stream_sweeps_m_once_per_block(monkeypatch):
     # update_chunk re-projects rarely, not once per chunk (here the
     # staleness guard fires once)
     assert len(projections) - len(announced) <= len(announced) // 2
-    # init_phase builds the Gram matrix with one dsyrk; every later
+    # init_phase builds the Gram matrix with one dsyrk per block of
+    # _MAP_ROWS = 256 initial rows, two for these 500; every later
     # look-ahead folds the chunks applied since the one before, and no
     # fold runs in update_chunk outside a look-ahead
-    assert folds[0] == "other"
-    assert sorted(folds[1:]) == sorted(tag for tag, _ in projections[1:])
+    assert folds[:2] == ["other"] * 2
+    assert sorted(folds[2:]) == sorted(tag for tag, _ in projections[1:])
 
 
 def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
@@ -662,7 +669,55 @@ def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
     model = train_stream(config, bundle)
 
     assert model.n_epochs == 120
-    assert events[0] == "fold"  # init_phase's Gram matrix
+    # init_phase's Gram matrix, one dsyrk per block of 256 initial rows
+    assert events[:2] == ["fold"] * 2
     block = ["(", ")"] * 6
-    assert events[1:] == (["announce", "factor"] + block
+    assert events[2:] == (["announce", "factor"] + block
                           + (["announce", "fold", "factor"] + block) * 19)
+
+
+def test_recalibrate_and_predict_sets_match_one_pass_over_all_rows():
+    # 700 training and 600 test rows span several blocks of 256; folding
+    # the blocks' scores equals one calibrate_chunk over all rows, and
+    # decoding block by block equals decoding all rows at once
+    train = synthetic_bundle(700, 6, 3, seed=46)
+    test = synthetic_bundle(600, 6, 3, seed=47)
+    config = _config(n_hidden=30, n_init=60, chunk_size=5,
+                     threshold_mode="recalibrate")
+    model = train_stream(config, train)
+    stats = model.norm_stats
+    beta = model.state.beta
+    raw = predict_raw(model.params, beta, normalize_apply(stats, train).X)
+    whole = calibrate_chunk(ThresholdCalib(), raw,
+                            harness.label_matrix(train.labelsets, train.m))
+    assert model.threshold == threshold_value(whole)
+
+    preds, _ = predict_sets(model.params, beta, model.threshold, stats, test,
+                            min_one=True)
+    raw = predict_raw(model.params, beta, normalize_apply(stats, test).X)
+    assert preds == decode_rows(raw, model.threshold, min_one=True)
+
+
+def test_train_and_predict_memory_grows_only_by_outputs():
+    # 3000 more training and 3000 more test rows may add their per-row
+    # outputs: float targets and scores, bool truth and one predicted label
+    # set each; a normalized copy of a split or an (n, n_hidden) hidden
+    # matrix would add 8 * n_hidden = 2400 bytes a row or more
+    m = 4
+    config = _config(n_hidden=300, n_init=300, chunk_size=10, ridge=1e-6,
+                     label_spec=m, threshold_mode="recalibrate")
+    peaks = []
+    for n in (1000, 4000):
+        train = synthetic_bundle(n, 30, m, seed=48)
+        test = synthetic_bundle(n, 30, m, seed=49)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            model = train_stream(config, train)
+            predict_sets(model.params, model.state.beta, model.threshold,
+                         model.norm_stats, test)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_row = 24 * m + sys.getsizeof(set())
+    assert peaks[1] - peaks[0] <= 2 * 3000 * per_row

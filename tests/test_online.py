@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -613,3 +615,37 @@ def test_look_ahead_error_stays_at_the_per_chunk_level():
             [_stiff_errors(seed, block) for seed in range(4)], axis=0)
         assert per_chunk < 4e-8
         assert announced <= 1.25 * per_chunk, block
+
+
+def test_init_phase_memory_does_not_grow_with_rows():
+    # the initial block is mapped one block of rows at a time: 4x the rows
+    # adds no (N0, n_hidden) hidden matrix
+    p = init_params(20, 200, seed=70)
+    peaks = []
+    for n in (1024, 4096):
+        X, Y = _stream(71, n=n, d=20, m=3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            init_phase(p, X, Y, ridge=1e-6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_init_phase_blocks_match_one_block():
+    # 700 rows are three blocks; the reference maps them in one
+    p = init_params(10, 40, seed=72)
+    X, Y = _stream(73, n=700, d=10, m=5)
+    st = init_phase(p, X, Y, ridge=1e-8)
+    H = hidden_map(p, X)
+    M = np.linalg.inv(H.T @ H + 1e-8 * np.eye(40))
+    beta = M @ (H.T @ Y)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    assert rel(st.M, M) <= 1e-10
+    assert rel(st.beta, beta) <= 1e-10
+    assert st.samples_seen == 700
