@@ -130,16 +130,13 @@ def predict_raw(params: ElmParams, beta, X) -> np.ndarray:
     """Raw network outputs H @ beta, one row of real scores per sample.
 
     Rows are mapped and multiplied one block of 256 (_MAP_ROWS) at a time
-    into the (n, n_labels) result; a single block is one product, with no
-    buffer.
+    into the (n, n_labels) result, so no (n, n_hidden) array is made.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 2 or beta.shape[0] != params.n_hidden:
         raise ValueError(
             f"beta shape {beta.shape} does not match n_hidden={params.n_hidden}")
     X = _as_rows(params, X)
-    if len(X) <= _MAP_ROWS:
-        return hidden_map(params, X) @ beta
     out = np.empty((len(X), beta.shape[1]))
     for i in range(0, len(X), _MAP_ROWS):
         np.matmul(hidden_map(params, X[i:i + _MAP_ROWS]), beta,

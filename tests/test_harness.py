@@ -701,15 +701,16 @@ def test_recalibrate_and_predict_sets_match_one_pass_over_all_rows():
 def test_train_and_predict_memory_grows_only_by_outputs():
     # 3000 more training and 3000 more test rows may add their per-row
     # outputs: float targets and scores, bool truth and one predicted label
-    # set each; a normalized copy of a split or an (n, n_hidden) hidden
-    # matrix would add 8 * n_hidden = 2400 bytes a row or more
-    m = 4
+    # set each (per_row below). With d = n_hidden = 300, a normalized
+    # copy of either split (8 * d bytes a row) or an (n, n_hidden) hidden
+    # matrix (8 * n_hidden) would add 2400 bytes a row
+    m, d = 4, 300
     config = _config(n_hidden=300, n_init=300, chunk_size=10, ridge=1e-6,
                      label_spec=m, threshold_mode="recalibrate")
     peaks = []
     for n in (1000, 4000):
-        train = synthetic_bundle(n, 30, m, seed=48)
-        test = synthetic_bundle(n, 30, m, seed=49)
+        train = synthetic_bundle(n, d, m, seed=48)
+        test = synthetic_bundle(n, d, m, seed=49)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
