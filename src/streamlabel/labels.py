@@ -112,22 +112,28 @@ def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
     Ties predict negative. With min_one set, an empty row falls back to its
     argmax position (lowest index on ties) so every sample gets at least
     one label.
+
+    The hits are read in one flat pass: the flat indices of the (n, m) hit
+    mask, in row-major order, give each member's column (index mod m), and
+    one binary search for the row boundaries j*m gives where each row's
+    members end. Each set is then one slice of that column list. The sets
+    are the ones a per-row scan returns, element for element.
     """
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 2:
         raise ValueError(f"y_raw must be a matrix, got ndim={y_raw.ndim}")
+    n, m = y_raw.shape
+    if not m:
+        return [set() for _ in range(n)]
     hits = y_raw > threshold
-    if min_one and y_raw.shape[1]:
+    if min_one:
         empty = np.flatnonzero(~hits.any(axis=1))
-        hits[empty, np.argmax(y_raw[empty], axis=1)] = True
-    members = np.nonzero(hits)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(hits, axis=1)).tolist()
-    out = []
-    start = 0
-    for end in ends:
-        out.append(set(members[start:end]))
-        start = end
-    return out
+        if empty.size:
+            hits[empty, y_raw.argmax(axis=1)[empty]] = True
+    flat = np.flatnonzero(hits)
+    cols = (flat % m).tolist()
+    ends = flat.searchsorted(np.arange(m, (n + 1) * m, m)).tolist()
+    return [set(cols[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 def dataset_stats(labelsets, m: int) -> DatasetStats:

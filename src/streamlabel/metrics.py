@@ -42,6 +42,13 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
     preds and truths are equal-length sequences of label sets over a label
     space of size m. Accumulation is plain left-to-right summation so the
     result is reproducible bit for bit.
+
+    Each sample costs one set intersection. An input that is already a set
+    or frozenset is used as it is (and never changed); anything else is
+    copied into a set. The union and symmetric-difference sizes follow from
+    the intersection as integers, |p | t| = |p| + |t| - |p & t| and
+    |p ^ t| = |p| + |t| - 2|p & t|, so every per-sample ratio, and every
+    sum, is the same double the set operations themselves give.
     """
     preds = list(preds)
     truths = list(truths)
@@ -56,8 +63,10 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
     n = len(preds)
     hl = acc = prec = rec = f1 = 0.0
     for p, t in zip(preds, truths):
-        p = set(p)
-        t = set(t)
+        if not isinstance(p, (set, frozenset)):
+            p = set(p)
+        if not isinstance(t, (set, frozenset)):
+            t = set(t)
         # each set on its own: the union {1} | {True} drops the True
         for labels in (p, t):
             for i in labels:
@@ -70,17 +79,19 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
                     raise ValueError(
                         f"label index {i} outside label space of size {m}")
         inter = len(p & t)
-        hl += len(p ^ t) / m
-        if not p and not t:
+        n_p = len(p)
+        n_t = len(t)
+        hl += (n_p + n_t - 2 * inter) / m
+        if not n_p and not n_t:
             acc += 1.0
             prec += 1.0
             rec += 1.0
             f1 += 1.0
         else:
-            acc += inter / len(p | t)
-            prec += (inter / len(p)) if p else 0.0
-            rec += (inter / len(t)) if t else 0.0
-            f1 += 2 * inter / (len(p) + len(t))
+            acc += inter / (n_p + n_t - inter)
+            prec += (inter / n_p) if n_p else 0.0
+            rec += (inter / n_t) if n_t else 0.0
+            f1 += 2 * inter / (n_p + n_t)
     return MetricsReport(hamming_loss=hl / n, accuracy=acc / n,
                          precision=prec / n, recall=rec / n, f1=f1 / n,
                          n_samples=n, n_labels=m)

@@ -257,15 +257,18 @@ def test_acceptance_7_timing_scaling_and_epoch_accounting(announce):
     model = train_stream(config, bundle)
     accounting = model.n_epochs == math.ceil((1600 - 100) / 30) == 50
 
-    # sequential-phase time must grow linearly in the streamed-sample count
+    # sequential-phase time must grow linearly in the streamed-sample count.
+    # The sizes are timed in turn, five rounds over all four, and each keeps
+    # its fastest run: a slow spell of the host then costs one run of every
+    # size, not all the runs of one.
     sizes = [2000, 4000, 8000, 16000]
-    times = []
-    for n in sizes:
-        stream = synthetic_bundle(n + 100, 8, 3, seed=71)
-        run = RunConfig(data_path="inline", label_spec=3, n_hidden=30, seed=1,
-                        n_init=100, chunk_size=8)
-        best = min(train_stream(run, stream).seq_s for _ in range(3))
-        times.append(best)
+    streams = [synthetic_bundle(n + 100, 8, 3, seed=71) for n in sizes]
+    run = RunConfig(data_path="inline", label_spec=3, n_hidden=30, seed=1,
+                    n_init=100, chunk_size=8)
+    times = [np.inf] * len(sizes)
+    for _ in range(5):
+        for i, stream in enumerate(streams):
+            times[i] = min(times[i], train_stream(run, stream).seq_s)
     x = np.array(sizes, dtype=float)
     y = np.array(times)
     slope, intercept = np.polyfit(x, y, 1)
@@ -273,12 +276,18 @@ def test_acceptance_7_timing_scaling_and_epoch_accounting(announce):
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
-    ok = accounting and r2 >= 0.95
+    # over these sizes a time that grows as N^2 still fits a line with
+    # R^2 = 0.962, so the 8x span of N may also cost at most 16x the time
+    # (linear: 8x; N^2: 64x)
+    growth = times[-1] / times[0]
+    ok = accounting and r2 >= 0.95 and growth <= 16.0
     _verdict(announce, 7, "timing scaling + epoch accounting", ok,
              f"n_epochs==50 exact: {accounting}, linear fit R^2={r2:.4f} "
-             f"(limit 0.95) over N={sizes}, times={[f'{t:.3f}' for t in times]}")
+             f"(limit 0.95), time growth {growth:.2f}x (limit 16x) over "
+             f"N={sizes}, times={[f'{t:.3f}' for t in times]}")
     assert accounting
     assert r2 >= 0.95
+    assert growth <= 16.0
 
 
 def test_acceptance_8_persistence(announce, tmp_path):

@@ -722,3 +722,31 @@ def test_train_and_predict_memory_grows_only_by_outputs():
             tracemalloc.stop()
     per_row = 24 * m + sys.getsizeof(set())
     assert peaks[1] - peaks[0] <= 2 * 3000 * per_row
+
+
+def test_reloaded_model_predict_sets_match_one_decode(tmp_path):
+    # a corel5k-shaped model (499 features, 374 labels, 300 hidden units)
+    # saved and loaded back; 256 and 257 rows sit on and just past the
+    # edge of one block of predict_sets
+    defaults = load_dataset_defaults("corel5k")
+    d, m = 499, defaults["label_spec"]
+    config = _config(**{k: defaults[k] for k in (
+        "label_spec", "n_hidden", "n_init", "chunk_size", "ridge",
+        "threshold_mode", "min_one", "normalize")})
+    # a threshold near the 98th percentile of the scores keeps the label
+    # sets sparse, as corel5k's are
+    train = synthetic_bundle(600, d, m, seed=80, threshold=45.0)
+    model = train_stream(config, train)
+    path = tmp_path / "model.json"
+    save_model(model.params, model.state, model.threshold, model.norm_stats,
+               path, seed=config.seed)
+    loaded = load_model(path)
+    for n in (64, 256, 257):
+        probe = synthetic_bundle(n, d, m, seed=81 + n)
+        got, _ = predict_sets(loaded.params, loaded.state.beta,
+                              loaded.threshold, loaded.norm_stats, probe,
+                              config.min_one)
+        raw = predict_raw(loaded.params, loaded.state.beta,
+                          normalize_apply(loaded.norm_stats, probe).X)
+        assert got == decode_rows(raw, loaded.threshold, config.min_one), n
+        assert len(got) == n and all(got)

@@ -298,3 +298,31 @@ def test_decode_rows_edge_shapes():
     assert decode_rows(np.zeros((2, 0)), 0.0, min_one=True) == [set(), set()]
     with pytest.raises(ValueError, match="matrix"):
         decode_rows(np.zeros(3), 0.0)
+
+
+@pytest.mark.parametrize("min_one", [False, True])
+def test_decode_rows_wide_sparse_matches_per_row_oracle(min_one):
+    # corel5k's label width with about 1% of the scores above the
+    # threshold, so most rows hold a few members and many hold none
+    rng = np.random.default_rng(14)
+    m, threshold = 374, 1.0
+    raw = np.where(rng.random((300, m)) < 0.01, 2.0,
+                   rng.integers(-8, 1, size=(300, m)) / 8.0)
+    raw[10:20] = -1.0                   # all empty, argmax ties everywhere
+    raw[20] = 2.0                       # full rows
+    raw[21, ::2] = 3.0
+    raw[21, 1::2] = -3.0
+    raw[22] = threshold                 # every score at the threshold
+    raw[23] = 0.0                       # an empty row with a three-way tie
+    raw[23, [5, 200, 373]] = 0.875
+    raw[24] = -0.5                      # only the last column
+    raw[24, -1] = threshold + 0.5
+    got = decode_rows(raw, threshold, min_one)
+    want = [_decode_oracle(row, threshold, min_one) for row in raw.tolist()]
+    assert got == want
+    assert got[20] == set(range(m))
+    assert got[24] == {m - 1}
+    if min_one:
+        assert got[10] == got[22] == {0}
+        assert got[23] == {5}
+    assert sum(map(len, got)) > 300     # the sparse rows do hit

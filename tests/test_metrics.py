@@ -163,3 +163,52 @@ def test_rejects_non_integer_label_indices(bad):
 def test_accepts_numpy_integer_label_indices():
     want = evaluate([{0, 1}], [{1}], 3)
     assert evaluate([{np.int64(0), np.int32(1)}], [{np.uint8(1)}], 3) == want
+
+
+def test_mixed_container_types_match_the_oracle_exactly():
+    # lists with duplicates, tuples, sets, frozensets and numpy integers
+    rng = np.random.default_rng(12)
+    m = 12
+    preds = random_labelsets(rng, 400, m)
+    truths = random_labelsets(rng, 400, m)
+    kinds = [lambda s: sorted(s) + sorted(s)[:2], tuple, set, frozenset,
+             lambda s: [np.int64(i) for i in s],
+             lambda s: {np.int32(i) for i in s}]
+    mixed_p = [kinds[j % len(kinds)](s) for j, s in enumerate(preds)]
+    mixed_t = [kinds[(j // 2) % len(kinds)](s) for j, s in enumerate(truths)]
+    report = evaluate(mixed_p, mixed_t, m)
+    want = naive_counting_oracle(preds, truths, m)
+    assert (report.hamming_loss, report.accuracy, report.precision,
+            report.recall, report.f1) == want
+    assert report == evaluate(preds, truths, m)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 1.0, "1"],
+                         ids=["bool", "numpy-bool", "float", "str"])
+@pytest.mark.parametrize("kind", [set, frozenset, list, tuple])
+def test_rejections_keep_their_messages_for_every_container(bad, kind):
+    name = type(bad).__name__
+    with pytest.raises(ValueError,
+                       match=f"label indices must be integers, got {name}$"):
+        evaluate([kind([0, bad])], [kind([0])], 3)
+    with pytest.raises(ValueError,
+                       match=f"label indices must be integers, got {name}$"):
+        evaluate([kind([0])], [kind([bad])], 3)
+    # {1} & {True} is {1}: each set is checked on its own
+    with pytest.raises(ValueError, match="label indices must be integers"):
+        evaluate([kind([1])], [kind([bad])], 3)
+    with pytest.raises(ValueError,
+                       match="label index 3 outside label space of size 3"):
+        evaluate([kind([0, 3])], [kind([0])], 3)
+    with pytest.raises(ValueError,
+                       match="label index -1 outside label space of size 3"):
+        evaluate([kind([0])], [kind([np.int64(-1)])], 3)
+
+
+def test_evaluate_leaves_its_sets_unchanged():
+    # sets are used as they are, not copied, so nothing may write to them
+    preds = [{0, 1}, {2}, set()]
+    truths = [{1, 2}, {2, 0}, set()]
+    evaluate(preds, truths, 3)
+    assert preds == [{0, 1}, {2}, set()]
+    assert truths == [{1, 2}, {0, 2}, set()]

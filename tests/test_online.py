@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from streamlabel import (ElmParams, OselmState, SingularMatrixError,
                          batch_train, hidden_map, init_params, init_phase,
-                         look_ahead, update_chunk)
+                         look_ahead, online, update_chunk)
+from streamlabel.numerics import cholesky_spd
 
 
 def _stream(seed, n=200, d=8, m=5):
@@ -649,3 +651,52 @@ def test_init_phase_blocks_match_one_block():
     assert rel(st.M, M) <= 1e-10
     assert rel(st.beta, beta) <= 1e-10
     assert st.samples_seen == 700
+
+
+def _one_dtrsm(F, P):
+    return blas.dtrsm(1.0, F, P.T, side=1, lower=1, trans_a=1).T
+
+
+def test_blocked_gain_solve_equals_one_triangular_solve():
+    # train_stream's widest announce at L = 1000 is 240 rows
+    rng = np.random.default_rng(64)
+    L, k = 1000, 240
+    A = rng.normal(size=(L, L))
+    H = rng.uniform(size=(k, L))
+    P = H @ (A @ A.T / L)
+    K = np.eye(k) + P @ H.T
+    F = cholesky_spd(0.5 * (K + K.T))
+    want = _one_dtrsm(F, P)
+    U = online._solve_lower(F, P)
+    assert np.shares_memory(U, P)
+    assert np.max(np.abs(U - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [100, 255])
+def test_look_ahead_gain_equals_one_triangular_solve_on_a_stiff_stream(block):
+    # the stiff stream of _stiff_errors, announced a block at a time; both
+    # solves leave a residual of a few ulps. The first announce after the
+    # initial block has the worst-conditioned F: there, at 255 rows, the two
+    # solutions differ by up to about 1e-13 of max |U|, as cond(F) lets two
+    # backward-stable solves differ, so the bitwise-near check is made at
+    # train_stream's 100-row block.
+    L, d, m = 300, 100, 5
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, size=(L + 2 * block, d))
+    Y = np.where(rng.integers(0, 2, size=(len(X), m)) == 1, 1.0, -1.0)
+    p = init_params(d, L, seed=0)
+    H = hidden_map(p, X)
+    st = init_phase(p, X[:L], Y[:L])
+    eps = np.finfo(np.float64).eps
+    for s in (L, L + block):
+        P = H[s:s + block] @ st.M
+        look_ahead(st, H[s:s + block])
+        F, U = np.tril(st._ahead.F), st._ahead.U
+        residual = np.max(np.abs(F @ U - P))
+        assert residual <= 8 * eps * np.abs(F).sum(axis=1).max() * \
+            np.max(np.abs(U)), s
+        if block == 100:
+            want = _one_dtrsm(st._ahead.F, P)
+            assert np.max(np.abs(U - want)) <= 1e-13 * np.max(np.abs(want)), s
+        update_chunk(st, p, X[s:s + block], Y[s:s + block],
+                     Hc=H[s:s + block])
