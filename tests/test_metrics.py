@@ -183,20 +183,17 @@ def test_mixed_container_types_match_the_oracle_exactly():
     assert report == evaluate(preds, truths, m)
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, 1.0, "1"],
-                         ids=["bool", "numpy-bool", "float", "str"])
 @pytest.mark.parametrize("kind", [set, frozenset, list, tuple])
-def test_rejections_keep_their_messages_for_every_container(bad, kind):
-    name = type(bad).__name__
-    with pytest.raises(ValueError,
-                       match=f"label indices must be integers, got {name}$"):
-        evaluate([kind([0, bad])], [kind([0])], 3)
-    with pytest.raises(ValueError,
-                       match=f"label indices must be integers, got {name}$"):
-        evaluate([kind([0])], [kind([bad])], 3)
-    # {1} & {True} is {1}: each set is checked on its own
-    with pytest.raises(ValueError, match="label indices must be integers"):
-        evaluate([kind([1])], [kind([bad])], 3)
+def test_rejections_keep_their_messages_for_every_container(kind):
+    for bad in (True, np.True_, 1.0, "1"):
+        want = f"label indices must be integers, got {type(bad).__name__}$"
+        with pytest.raises(ValueError, match=want):
+            evaluate([kind([0, bad])], [kind([0])], 3)
+        with pytest.raises(ValueError, match=want):
+            evaluate([kind([0])], [kind([bad])], 3)
+        # {1} & {True} is {1}: each set is checked on its own
+        with pytest.raises(ValueError, match=want):
+            evaluate([kind([1])], [kind([bad])], 3)
     with pytest.raises(ValueError,
                        match="label index 3 outside label space of size 3"):
         evaluate([kind([0, 3])], [kind([0])], 3)
