@@ -11,6 +11,7 @@ become integer codes in declaration order. Label columns must hold 0/1.
 """
 
 import csv
+import numbers
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,7 +83,8 @@ def _read_sidecar_labels(path: str) -> list:
 def _resolve_label_names(label_spec, column_names, path: str) -> list:
     if isinstance(label_spec, bool):
         raise DatasetFormatError("label_spec must be an int, name list, or path")
-    if isinstance(label_spec, int):
+    if isinstance(label_spec, numbers.Integral):
+        label_spec = int(label_spec)  # -n of a numpy unsigned count wraps
         if not 1 <= label_spec < len(column_names):
             raise DatasetFormatError(
                 f"{path}: label_spec={label_spec} but file has "
@@ -283,7 +285,7 @@ def load_dataset(path, format: str = "arff", label_spec=None,
 def take_rows(bundle: DatasetBundle, indices) -> DatasetBundle:
     """Bundle restricted to the given rows, in the given order."""
     indices = np.asarray(indices, dtype=int)
-    X = bundle.X[indices].copy()
+    X = bundle.X[indices]  # integer-array indexing makes a new array
     X.setflags(write=False)
     return DatasetBundle(X=X,
                          labelsets=tuple(bundle.labelsets[i] for i in indices),

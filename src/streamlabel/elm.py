@@ -79,13 +79,17 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
     return np.reciprocal(H, out=H)
 
 
-def _normal_equations(params: ElmParams, X, Y, ridge: float):
-    """(H'H + ridge*I, H'Y) for the hidden rows H of X, mapped in blocks.
+def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str):
+    """Checked lower Cholesky factor of H'H + ridge*I, and H'Y, for X's rows H.
 
-    Each block of at most _MAP_ROWS rows is added to the Gram matrix with
-    one dsyrk and to H'Y with one product, so no (n, n_hidden) array is
-    made. The Gram matrix is C-ordered and exactly symmetric.
+    Both least-squares solves, batch_train and online.init_phase, take their
+    factor here. Each block of at most _MAP_ROWS rows is added to the Gram
+    matrix with one dsyrk and to H'Y with one product, so no (n, n_hidden)
+    array is made, and the Gram matrix is factored in its own memory. The
+    factor is F-ordered; ``who`` prefixes cholesky_spd's errors.
     """
+    if not 0.0 <= ridge < np.inf:  # also false for NaN
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     X = _as_rows(params, X)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
@@ -102,7 +106,9 @@ def _normal_equations(params: ElmParams, X, Y, ridge: float):
         HY += H.T @ Y[i:i + _MAP_ROWS]
     gram[np.diag_indices_from(gram)] += ridge
     mirror_lower(gram)
-    return gram, HY
+    # gram is exactly symmetric, so its F-ordered view gram.T is the same
+    # matrix and LAPACK factors it without a copy
+    return cholesky_spd(gram.T, who, overwrite=True), HY
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
@@ -113,11 +119,8 @@ def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
     (typically n_samples >= n_hidden); rank deficiency raises
     SingularMatrixError instead of silently regularizing.
     """
-    if not 0.0 <= ridge < np.inf:  # also false for NaN
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
-    gram, HY = _normal_equations(params, X, Y_bip, ridge)
     try:
-        factor = cholesky_spd(gram, "batch_train")
+        factor, HY = _normal_equations(params, X, Y_bip, ridge, "batch_train")
     except SingularMatrixError as err:
         raise SingularMatrixError(
             f"batch_train: H'H is singular (pivot {err.pivot}); "

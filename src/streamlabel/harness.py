@@ -119,13 +119,15 @@ class RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict:
-    label_spec = config.label_spec
-    if not isinstance(label_spec, (int, str)):
-        label_spec = list(label_spec)
+    spec = config.label_spec
+    if isinstance(spec, numbers.Integral) and not isinstance(spec, bool):
+        spec = int(spec)  # a count, numpy integers too, as a JSON integer
+    elif not isinstance(spec, (bool, str)):
+        spec = list(spec)
     return {
         "data_path": config.data_path,
         "data_format": config.data_format,
-        "label_spec": label_spec,
+        "label_spec": spec,
         "n_train": config.n_train,
         "n_hidden": config.n_hidden,
         "seed": config.seed,

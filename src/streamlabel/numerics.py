@@ -1,4 +1,4 @@
-"""Dense matrix primitives: checked Cholesky factor, SPD inverse, seeded RNG.
+"""Dense matrix primitives: checked Cholesky factor, seeded RNG.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
 All solves and inverses go through one checked Cholesky factorization;
@@ -103,25 +103,3 @@ def cholesky_spd(A, who: str = "cholesky_spd",
             f"{who}: matrix is numerically singular (pivot {worst})",
             pivot=worst)
     return factor
-
-
-def inv_spd(A) -> np.ndarray:
-    """Inverse of symmetric positive definite A from one checked Cholesky factor.
-
-    Same checks and errors as cholesky_spd. The result is C-ordered and exactly
-    symmetric. A writeable C-ordered float64 A is overwritten: the inverse is
-    computed in its memory (and A holds garbage if a check fails). Any other
-    A is copied first and left alone.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if not (A.flags.c_contiguous and A.flags.writeable):
-        A = np.array(A, order="C")
-    # A is symmetric, so its F-ordered view A.T is the same matrix and LAPACK
-    # can factor and invert it without a copy.
-    factor = cholesky_spd(A.T, "inv_spd", overwrite=True)
-    inv, info = lapack.dpotri(factor, lower=1, overwrite_c=True)
-    if info != 0:
-        raise ValueError(f"inv_spd: inversion failed (info={info})")
-    # the inverse fills the lower triangle of the F-ordered result
-    mirror_lower(inv)
-    return inv.T

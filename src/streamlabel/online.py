@@ -31,10 +31,10 @@ symmetric.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .elm import ElmParams, _normal_equations, hidden_map
-from .numerics import SingularMatrixError, cholesky_spd, inv_spd, mirror_lower
+from .numerics import SingularMatrixError, cholesky_spd, mirror_lower
 
 
 # The guard: the block's factor solves row i of U as its projection less the
@@ -123,21 +123,27 @@ def _fold(state: OselmState) -> None:
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     """Solve the initial block: M = (H0'H0 + ridge*I)^-1, beta = M H0' Y0.
 
-    H0'H0 and H0'Y0 are summed over blocks of rows, as in batch_train, so
-    H0 is never held whole. With ridge 0 the block must make H0'H0
-    invertible, which in practice means at least n_hidden samples.
+    H0'H0 and H0'Y0 are summed over blocks of rows, so H0 is never held
+    whole, and factored by the same step as in batch_train. With ridge 0
+    the block must make H0'H0 invertible, which in practice means at least
+    n_hidden samples.
     """
-    if not 0.0 <= ridge < np.inf:  # also false for NaN
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
-    gram, HY = _normal_equations(params, X0, Y0_bip, ridge)
     try:
-        M = inv_spd(gram)
+        factor, HY = _normal_equations(params, X0, Y0_bip, ridge, "init_phase")
     except SingularMatrixError as err:
         raise SingularMatrixError(
             f"init_phase: initial Gram matrix is singular (pivot {err.pivot}); "
             f"use a larger initial block (>= {params.n_hidden} samples) "
             "or a positive ridge",
             pivot=err.pivot) from err
+    # the inverse fills the lower triangle of the F-ordered factor, in its
+    # memory; the mirror leaves it exactly symmetric
+    inv, info = lapack.dpotri(factor, lower=1, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"init_phase: inversion failed (info={info})")
+    mirror_lower(inv)
+    M = inv.T
+    # M is needed anyway, and one product is faster than a dpotrs solve
     beta = M @ HY
     return OselmState(beta=beta, M=M, samples_seen=len(X0),
                       ridge_used=float(ridge))
@@ -283,11 +289,15 @@ def look_ahead(state: OselmState, H) -> OselmState:
     _fold(state)
     state._ahead = None
     P = H @ M
-    K = np.eye(len(H)) + P @ H.T
-    # H M H' is symmetric only up to roundoff; enforce it before factoring
-    K = 0.5 * (K + K.T)
+    # K = I + P H' is symmetric only up to roundoff: average it with its
+    # transpose in place, which gives the bits of 0.5 * (K + K.T)
+    K = P @ H.T
+    K += K.T
+    K *= 0.5
+    K[np.diag_indices_from(K)] += 1.0
     try:
-        F = cholesky_spd(K, "look_ahead")
+        # K is exactly symmetric, so it is factored in its own memory
+        F = cholesky_spd(K.T, "look_ahead", overwrite=True)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             f"look_ahead: gain matrix is singular (pivot {err.pivot})",

@@ -258,17 +258,20 @@ def test_acceptance_7_timing_scaling_and_epoch_accounting(announce):
     accounting = model.n_epochs == math.ceil((1600 - 100) / 30) == 50
 
     # sequential-phase time must grow linearly in the streamed-sample count.
-    # The sizes are timed in turn, five rounds over all four, and each keeps
-    # its fastest run: a slow spell of the host then costs one run of every
+    # The sizes are timed in turn, eight rounds over all four, and each keeps
+    # its fastest run. Each round starts one size later than the one before,
+    # so every size runs at every place in a round, twice: a slow spell of
+    # the host, or a load that comes back once a round, costs runs of every
     # size, not all the runs of one.
     sizes = [2000, 4000, 8000, 16000]
     streams = [synthetic_bundle(n + 100, 8, 3, seed=71) for n in sizes]
     run = RunConfig(data_path="inline", label_spec=3, n_hidden=30, seed=1,
                     n_init=100, chunk_size=8)
     times = [np.inf] * len(sizes)
-    for _ in range(5):
-        for i, stream in enumerate(streams):
-            times[i] = min(times[i], train_stream(run, stream).seq_s)
+    for first in range(8):
+        for k in range(len(sizes)):
+            i = (first + k) % len(sizes)
+            times[i] = min(times[i], train_stream(run, streams[i]).seq_s)
     x = np.array(sizes, dtype=float)
     y = np.array(times)
     slope, intercept = np.polyfit(x, y, 1)

@@ -284,6 +284,51 @@ def test_eval_rejects_label_space_mismatch(synth_csv, tmp_path, capsys):
     assert "3 labels" in err and "has 5" in err
 
 
+def test_eval_rejects_model_without_threshold(synth_csv, tmp_path, capsys):
+    config = RunConfig(data_path=synth_csv, label_spec=3, n_hidden=20,
+                       n_init=40, chunk_size=7)
+    model = train_stream(config, load_dataset(synth_csv, "csv", 3))
+    model_path = tmp_path / "m.json"
+    save_model(model.params, model.state, None, model.norm_stats,
+               str(model_path))
+    code = main(["eval", "--model", str(model_path), "--data", synth_csv,
+                 "--format", "csv", "--labels", "3"])
+    assert code == 5
+    assert "stores no decoding threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("skip", [-1, 260, 300])
+def test_eval_rejects_skip_outside_the_rows(synth_csv, tmp_path, capsys,
+                                            skip):
+    model_path = tmp_path / "model.json"
+    main(["train", "--data", synth_csv, "--out", str(model_path)] + RUN_FLAGS)
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model_path), "--data", synth_csv,
+                 "--format", "csv", "--labels", "3", "--skip", str(skip)])
+    assert code == 2
+    assert (f"--skip must be in (0, 260), got {skip}"
+            in capsys.readouterr().err)
+
+
+def test_no_normalize_flag_trains_and_evals_on_raw_features(
+        synth_csv, tmp_path, capsys):
+    flags = RUN_FLAGS + ["--no-normalize"]
+    main(["stream", "--data", synth_csv] + flags)
+    stream_doc = json.loads(capsys.readouterr().out)
+    assert stream_doc["config"]["normalize"] is False
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", synth_csv, "--out", str(model_path)]
+                + flags) == 0
+    capsys.readouterr()
+    assert harness.load_model(model_path).norm_stats is None
+    code = main(["eval", "--model", str(model_path), "--data", synth_csv,
+                 "--format", "csv", "--labels", "3", "--skip", "200"])
+    assert code == 0
+    eval_doc = json.loads(capsys.readouterr().out)
+    assert eval_doc["metrics"] == stream_doc["metrics"]
+    assert eval_doc["threshold"] == stream_doc["threshold"]
+
+
 def test_stream_runs_through_harness_names(synth_csv, monkeypatch, capsys):
     # the benchmark's probes (perfbench/measure.py) wrap these three
     # module attributes; the stream command must reach each through harness

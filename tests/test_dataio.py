@@ -156,6 +156,15 @@ def test_label_spec_required(tiny_arff):
         load_dataset(tiny_arff, format="arff")
 
 
+def test_label_spec_count_may_be_a_numpy_integer(tiny_arff):
+    want = load_dataset(tiny_arff, "arff", 2)
+    for count in (np.int64(2), np.uint8(2)):
+        got = load_dataset(tiny_arff, "arff", count)
+        assert got.label_names == want.label_names == ("is_big", "is_red")
+        assert got.labelsets == want.labelsets
+        assert np.array_equal(got.X, want.X)
+
+
 def test_label_spec_count_out_of_range(tiny_arff):
     with pytest.raises(DatasetFormatError):
         load_dataset(tiny_arff, format="arff", label_spec=9)
@@ -180,6 +189,9 @@ def test_split_file_order():
     assert np.array_equal(train.X, bundle.X[:7])
     assert np.array_equal(test.X, bundle.X[7:])
     assert test.labelsets == bundle.labelsets[7:]
+    for part in (train, test):
+        assert not np.shares_memory(part.X, bundle.X)
+        assert not part.X.flags.writeable
 
 
 def test_split_boundary():
@@ -206,6 +218,8 @@ def test_take_rows_subset_and_order():
     bundle = synthetic_bundle(8, 2, 2, seed=6)
     sub = take_rows(bundle, [5, 1])
     assert np.array_equal(sub.X, bundle.X[[5, 1]])
+    assert not np.shares_memory(sub.X, bundle.X)
+    assert not sub.X.flags.writeable
     assert sub.labelsets == (bundle.labelsets[5], bundle.labelsets[1])
 
 

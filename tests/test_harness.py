@@ -67,7 +67,7 @@ def test_config_is_frozen_and_checked_on_replace():
     ("chunk_size", 2.5), ("n_train", False), ("seed", 1.5), ("seed", None),
     ("min_one", "no"), ("min_one", 1), ("normalize", None),
     ("ridge", math.nan), ("ridge", math.inf), ("ridge", "0.5"),
-    ("ridge", True),
+    ("ridge", True), ("data_format", "xlsx"),
 ])
 def test_config_checks_types(key, value):
     # each of these used to build, then fail later or run as something else
@@ -80,6 +80,23 @@ def test_config_accepts_numpy_scalars():
     config = _config(n_hidden=np.int64(20), seed=np.uint32(3),
                      ridge=np.float64(0.5), n_train=np.int32(100))
     assert config.n_hidden == 20 and config.ridge == 0.5
+
+
+def test_config_requires_label_spec():
+    with pytest.raises(ConfigError) as excinfo:
+        _config(label_spec=None)
+    assert excinfo.value.problems == ["label_spec is required"]
+
+
+def test_label_spec_count_may_be_a_numpy_integer():
+    train, test = split(synthetic_bundle(260, 6, 3, seed=32), 200)
+    docs = [run_stream_split(_config(label_spec=spec), train,
+                             test).to_json_dict()
+            for spec in (3, np.int64(3))]
+    assert type(docs[1]["config"]["label_spec"]) is int
+    for doc in docs:
+        doc["timing"] = None
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
 
 
 def test_train_rejects_non_finite_ridge(tmp_path, capsys):
@@ -130,6 +147,14 @@ def test_report_fields_and_determinism_excluding_timing():
                                        "avg_epoch_s"]
         doc["timing"] = None  # wall-clock noise is the one allowed difference
     assert json.dumps(docs[0]) == json.dumps(docs[1])
+
+
+def test_run_stream_split_rejects_label_space_mismatch():
+    train = synthetic_bundle(200, 6, 3, seed=33)
+    test = synthetic_bundle(60, 6, 2, seed=34)
+    with pytest.raises(ValueError,
+                       match="^train and test label spaces differ: 3 vs 2$"):
+        run_stream_split(_config(), train, test)
 
 
 def test_timing_sanity():
@@ -230,6 +255,26 @@ def test_model_round_trip_predictions(tmp_path):
     assert loaded.seed == config.seed
     assert loaded.state.samples_seen == model.state.samples_seen
     assert np.array_equal(loaded.norm_stats.min_, model.norm_stats.min_)
+
+
+def test_unnormalized_model_round_trip(tmp_path):
+    # normalize=False end to end: raw features are mapped in training, the
+    # file stores no scaling, and the reloaded model predicts the same sets
+    bundle = synthetic_bundle(200, 6, 3, seed=37)
+    model = train_stream(_config(normalize=False), bundle)
+    assert model.norm_stats is None
+    scaled = train_stream(_config(), bundle)
+    assert not np.array_equal(model.state.beta, scaled.state.beta)
+    path = tmp_path / "model.json"
+    save_model(model.params, model.state, model.threshold, None, path)
+    loaded = load_model(path)
+    assert loaded.norm_stats is None
+    probe = synthetic_bundle(50, 6, 3, seed=38)
+    want = decode_rows(predict_raw(model.params, model.state.beta, probe.X),
+                       model.threshold)
+    got, _ = predict_sets(loaded.params, loaded.state.beta, loaded.threshold,
+                          loaded.norm_stats, probe)
+    assert got == want
 
 
 def test_saved_m_is_symmetric_and_resumes_like_streaming(tmp_path):
@@ -343,6 +388,10 @@ def _set_b_shape(doc):
     (_set_field("threshold", "0.25"), "'threshold' must be a number"),
     (_set_field("ridge", "0.5"), "'ridge' must be a number"),
     (_set_field("ridge", False), "'ridge' must be a number"),
+    (_set_field("arrays", [1, 2]), "field 'arrays' is not an object"),
+    (lambda doc: doc["arrays"]["b"].update(
+        data=harness._encode_array(np.zeros(5))["data"]),
+     "'b' has 5 values, expected 6"),
 ], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
         "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
         "norm_max-long", "b-negative-shape", "norm_max-missing", "W-nan",
@@ -350,7 +399,8 @@ def _set_b_shape(doc):
         "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf",
         "samples_seen-negative", "ridge-negative", "samples_seen-bool",
         "n_hidden-fraction", "n_hidden-float", "seed-string",
-        "threshold-bool", "threshold-string", "ridge-string", "ridge-bool"])
+        "threshold-bool", "threshold-string", "ridge-string", "ridge-bool",
+        "arrays-list", "b-short-data"])
 def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
     # the checksum can be recomputed by anyone, so each structural fault
     # must still be a ModelFormatError when the checksum matches

@@ -4,7 +4,7 @@ from scipy.linalg import cho_solve
 
 from streamlabel import (GENERATOR_TAG, SingularMatrixError, cholesky_spd,
                          make_rng)
-from streamlabel.numerics import inv_spd, mirror_lower
+from streamlabel.numerics import mirror_lower
 
 
 def _solve(A, B):
@@ -78,44 +78,6 @@ def test_mirror_lower_copies_lower_triangle(n):
     assert np.array_equal(np.tril(A), lower)
 
 
-@pytest.mark.parametrize("n", [1, 5, 70])
-def test_inv_spd_matches_solve_in_place(n):
-    rng = np.random.default_rng(n)
-    G = rng.normal(size=(n, n))
-    A = G.T @ G + np.eye(n)
-    A = 0.5 * (A + A.T)
-    want = np.linalg.solve(A, np.eye(n))
-    got = inv_spd(A)
-    assert np.shares_memory(got, A)
-    assert got.flags.c_contiguous
-    assert np.array_equal(got, got.T)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("layout", ["read-only", "fortran"])
-def test_inv_spd_leaves_other_layouts_alone(layout):
-    A = np.array([[2.0, 1.0], [1.0, 4.0]])
-    if layout == "read-only":
-        A.setflags(write=False)
-    else:
-        A = np.asfortranarray(A)
-    kept = A.copy()
-    got = inv_spd(A)
-    assert np.array_equal(A, kept)
-    assert np.max(np.abs(got @ kept - np.eye(2))) <= 1e-14
-
-
-def test_inv_spd_shares_the_checks_of_solve_spd():
-    with pytest.raises(ValueError, match="symmetric"):
-        inv_spd(np.array([[2.0, 1.0], [0.5, 2.0]]))
-    with pytest.raises(SingularMatrixError) as excinfo:
-        inv_spd(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert excinfo.value.pivot == 1
-    v = np.array([[1.0], [2.0], [3.0]])
-    with pytest.raises(SingularMatrixError):
-        inv_spd(v @ v.T)
-
-
 def test_cholesky_spd_factor_and_errors():
     B = np.random.default_rng(14).normal(size=(6, 6))
     A = B @ B.T + 6.0 * np.eye(6)
@@ -123,6 +85,11 @@ def test_cholesky_spd_factor_and_errors():
     F = np.tril(cholesky_spd(A))
     assert np.array_equal(A, kept)
     assert np.max(np.abs(F @ F.T - A)) <= 1e-12 * np.max(np.abs(A))
+    # a symmetric A's F-ordered view A.T is the same matrix: it is factored
+    # in A's own memory
+    in_place = cholesky_spd(A.T, overwrite=True)
+    assert np.shares_memory(in_place, A)
+    assert np.array_equal(np.tril(in_place), F)
     with pytest.raises(ValueError, match="symmetric"):
         cholesky_spd(np.array([[2.0, 1.0], [0.5, 2.0]]))
     not_pd = "gain: matrix is not positive definite"
@@ -132,3 +99,13 @@ def test_cholesky_spd_factor_and_errors():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="gain: matrix has a NaN or inf"):
             cholesky_spd(np.diag([1.0, bad]), "gain")
+
+
+def test_cholesky_spd_rejects_a_pivot_lapack_accepts():
+    # dpotrf factors this matrix, but its last pivot is 2^-51, under the
+    # 64 n eps scale floor: the factor is numerically singular
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -51]])
+    singular = r"gain: matrix is numerically singular \(pivot 1\)"
+    with pytest.raises(SingularMatrixError, match=singular) as excinfo:
+        cholesky_spd(A, "gain")
+    assert excinfo.value.pivot == 1

@@ -57,6 +57,17 @@ def test_init_phase_rejects_negative_ridge():
         init_phase(p, X, Y, ridge=-1.0)
 
 
+@pytest.mark.parametrize("solve", [init_phase, batch_train],
+                         ids=["init_phase", "batch_train"])
+def test_solve_names_itself_on_a_nan_row(solve):
+    p = init_params(8, 10, seed=4)
+    X, Y = _stream(5, n=50)
+    X[7, 2] = np.nan
+    match = f"^{solve.__name__}: matrix has a NaN or infinite entry$"
+    with pytest.raises(ValueError, match=match):
+        solve(p, X, Y)
+
+
 @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
 def test_non_finite_ridge_is_rejected(ridge):
     # NaN fails every comparison: unchecked, it trains as if ridge were 0
@@ -368,6 +379,21 @@ def test_m_is_mirrored_once_per_fold(monkeypatch):
     update_chunk(st, p, X[:10], Y[:10])
     st.M = snapshot  # assigning drops the pending rows: nothing is folded
     assert st.M is snapshot and len(calls) == 5
+
+
+@pytest.mark.parametrize("which", ["M", "beta"])
+def test_update_chunk_rejects_a_state_of_another_width(which):
+    p = init_params(8, 10, seed=44)
+    X, Y = _stream(45, n=60)
+    st = init_phase(p, X[:50], Y[:50])
+    if which == "M":
+        st.M = np.eye(11)
+    else:
+        st.beta = np.zeros((11, 5))
+    with pytest.raises(ValueError, match=r"^state shapes M \(\d+, \d+\), "
+                       r"beta \(\d+, 5\) do not match n_hidden=10$"):
+        update_chunk(st, p, X[50:55], Y[50:55])
+    assert st.samples_seen == 50
 
 
 @pytest.mark.parametrize("where,match", [
