@@ -8,8 +8,7 @@ score extrema observed during training.
 """
 
 from .dataio import (DatasetBundle, DatasetFormatError, NormStats,
-                     load_dataset, normalize_apply, normalize_fit, split,
-                     take_rows)
+                     load_dataset, normalize_fit, split, take_rows)
 from .elm import ElmParams, batch_train, hidden_map, init_params, predict_raw
 from .harness import (ConfigError, CvReport, LoadedModel, ModelFormatError,
                       RunConfig, RunReport, TrainedModel, cv_folds,
@@ -34,7 +33,7 @@ __all__ = [
     "cv_folds", "dataset_stats", "decode_rows", "emit_report", "evaluate",
     "hidden_map", "init_params", "init_phase", "label_matrix",
     "load_dataset", "load_dataset_defaults", "load_model", "look_ahead",
-    "make_rng", "normalize_apply", "normalize_fit", "predict_raw",
-    "predict_sets", "run_cv_bundle", "run_stream_split", "save_model",
-    "split", "take_rows", "threshold_value", "train_stream", "update_chunk",
+    "make_rng", "normalize_fit", "predict_raw", "predict_sets",
+    "run_cv_bundle", "run_stream_split", "save_model", "split", "take_rows",
+    "threshold_value", "train_stream", "update_chunk",
 ]

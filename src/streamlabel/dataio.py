@@ -314,29 +314,18 @@ def normalize_fit(train: DatasetBundle) -> NormStats:
 def _normalize_rows(stats: NormStats, X) -> np.ndarray:
     """Feature rows X mapped through (x - min) / (max - min), in one new array.
 
-    Zero-range features map to 0. The subtraction makes the result and the
-    division runs in its memory, which gives the same bits as
+    Zero-range features map to 0. Values outside the fitted range are not
+    clamped, so test rows may land outside [0, 1]. The subtraction makes the
+    result and the division runs in its memory, which gives the same bits as
     ``(X - min) / span``.
     """
     if stats.min_.shape[0] != X.shape[1]:
         raise ValueError(
             f"normalization stats cover {stats.min_.shape[0]} features, "
-            f"bundle has {X.shape[1]}")
+            f"rows have {X.shape[1]}")
     span = stats.max_ - stats.min_
     out = np.subtract(X, stats.min_)
     out /= np.where(span > 0.0, span, 1.0)
     out[:, span == 0.0] = 0.0
     return out
 
-
-def normalize_apply(stats: NormStats, bundle: DatasetBundle) -> DatasetBundle:
-    """Map features through (x - min) / (max - min) per feature.
-
-    Zero-range features map to 0. Values outside the fitted range are not
-    clamped, so test data may land outside [0, 1].
-    """
-    X = _normalize_rows(stats, bundle.X)
-    X.setflags(write=False)
-    return DatasetBundle(X=X, labelsets=bundle.labelsets, m=bundle.m,
-                         feature_names=bundle.feature_names,
-                         label_names=bundle.label_names, source=bundle.source)

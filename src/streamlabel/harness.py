@@ -2,7 +2,7 @@
 
 Runs take loaded bundles. A streaming run is: split -> fit normalization
 -> encode labels -> solve the initial block -> per block of chunks
-(normalize and map their rows, announce the hidden rows to the update) ->
+(normalize their rows and announce them to the update, which maps them) ->
 per-chunk (predict raw, fold scores into the threshold calibration,
 recursive update) -> pick threshold -> decode test set -> score. Rows are
 normalized as they are mapped, one block at a time, so a run holds its data,
@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataio import (DatasetBundle, NormStats, _normalize_rows, normalize_fit,
                      take_rows)
-from .elm import _MAP_ROWS, ElmParams, hidden_map, init_params, predict_raw
+from .elm import _MAP_ROWS, ElmParams, init_params, predict_raw
 from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
@@ -84,6 +84,9 @@ class RunConfig:
             problems.append(f"data_format must be arff or csv, got {self.data_format!r}")
         if self.label_spec is None:
             problems.append("label_spec is required")
+        elif not _valid_label_spec(self.label_spec):
+            problems.append("label_spec must be a count >= 1, a path or a "
+                            f"non-empty list of names, got {self.label_spec!r}")
         for key in ("n_hidden", "n_init", "chunk_size", "n_train", "seed"):
             value = getattr(self, key)
             if key == "n_train" and value is None:
@@ -118,12 +121,18 @@ class RunConfig:
         return self.dataset_name or Path(self.data_path).stem
 
 
-def config_echo(config: RunConfig) -> dict:
-    spec = config.label_spec
+def _valid_label_spec(spec) -> bool:
+    if isinstance(spec, (list, tuple)):
+        return len(spec) > 0 and all(isinstance(name, str) for name in spec)
     if isinstance(spec, numbers.Integral) and not isinstance(spec, bool):
-        spec = int(spec)  # a count, numpy integers too, as a JSON integer
-    elif not isinstance(spec, (bool, str)):
-        spec = list(spec)
+        return spec >= 1
+    return isinstance(spec, str) and spec != ""
+
+
+def config_echo(config: RunConfig) -> dict:
+    spec = config.label_spec  # checked: a count, a path or a list of names
+    if not isinstance(spec, str):  # a count, numpy integers too, as an int
+        spec = list(spec) if isinstance(spec, (list, tuple)) else int(spec)
     return {
         "data_path": config.data_path,
         "data_format": config.data_format,
@@ -241,28 +250,25 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     calib = ThresholdCalib()
     chunk = config.chunk_size
     n_epochs = math.ceil((n_train - n0) / chunk)
-    # the hidden layer does not change while streaming, so whole chunks are
-    # mapped together and each mapped block is announced to the update. Its
-    # gain solve, P H' and F^-1 P, costs about 1.5 (its rows / n_hidden) of
-    # the projection P = H M, which caps a block at n_hidden // 3 rows and
-    # at least one chunk; blocks of one wide chunk map too few rows
+    # whole chunks are announced together, and look_ahead maps each block
+    # at once. Its gain solve, P H' and F^-1 P, costs about 1.5 (its rows /
+    # n_hidden) of the projection P = H M, which caps a block at n_hidden // 3
+    # rows and at least one chunk; blocks of one wide chunk map too few rows
     # per call (at L=300, chunks of 50 and one BLAS thread they streamed 8%
     # slower than blocks of two)
     block_rows = max(1, min(_MAP_ROWS, config.n_hidden // 3) // chunk) * chunk
     t0 = time.perf_counter()
     for block in range(n0, n_train, block_rows):
         X = _normalized(norm_stats, train.X[block:block + block_rows])
-        H = hidden_map(params, X)
-        look_ahead(state, H)
+        H = look_ahead(state, params, X)
         for start in range(block, min(block + block_rows, n_train), chunk):
             stop = min(start + chunk, n_train)
             rows = slice(start - block, stop - block)
-            Hc = H[rows]
             # one score product per chunk: the calibration and the update
-            # share it and the chunk's hidden rows
-            raw = Hc @ state.beta
+            # share it
+            raw = H[rows] @ state.beta
             calibrate_chunk(calib, raw, truth[start:stop])
-            update_chunk(state, params, X[rows], targets[start:stop], Hc=Hc,
+            update_chunk(state, params, X[rows], targets[start:stop],
                          scores=raw)
     seq_s = time.perf_counter() - t0
 
@@ -518,6 +524,8 @@ def load_model(path) -> LoadedModel:
     b = _decode_array(arrays.get("b"), "b", (n_hidden,))
     beta = _decode_array(arrays.get("beta"), "beta", (n_hidden, n_labels))
     M = _decode_array(arrays.get("M"), "M", (n_hidden, n_hidden))
+    if not np.array_equal(M, M.T):  # save_model writes it exactly symmetric
+        raise ModelFormatError(f"{path}: model array 'M' is not symmetric")
     params = ElmParams(W=W, b=b)
     state = OselmState(beta=beta.copy(), M=M.copy(),
                        samples_seen=samples_seen, ridge_used=ridge)

@@ -9,23 +9,24 @@ rounding.
 The gain depends on the hidden rows and M only, not on the targets, so it
 is solved once per block of chunks (a look-ahead):
 
-- ``look_ahead(state, H)`` announces the hidden rows of the next chunks. It
-  projects them through M, P = H M, factors the block's gain
-  F F' = I + P H' and solves U = F^-1 P. F is lower triangular, so once the
-  rows before it are applied, the chunk on rows r0:r1 has the gain factor
-  F[r0:r1, r0:r1] and the downdate M -= U[r0:r1]'U[r0:r1].
-- ``update_chunk`` on the next announced rows only steps beta, which costs
-  O(c L m) and does not touch M; a caller that already holds the chunk's
-  scores Hc beta passes them as ``scores=``.
+- ``look_ahead(state, params, X)`` announces the feature rows of the next
+  chunks. It maps them to hidden rows H, projects those through M, P = H M,
+  factors the block's gain F F' = I + P H' and solves U = F^-1 P. F is
+  lower triangular, so once the rows before it are applied, the chunk on
+  rows r0:r1 has the gain factor F[r0:r1, r0:r1] and the downdate
+  M -= U[r0:r1]'U[r0:r1]. It returns H, read-only, for scoring the chunks.
+- ``update_chunk`` on the next announced feature rows only steps beta, which
+  costs O(c L m) and does not touch M; a caller that already holds the
+  chunk's scores H[r0:r1] beta passes them as ``scores=``.
 - The next ``look_ahead`` folds the applied rows into M with one rank-k
   downdate, M -= U[:used]'U[:used].
 
-Rows that were not announced get a one-chunk look-ahead of their own, which
-costs what a per-chunk update costs. M is downdated in its own memory, so a
-caller holding a reference to ``state.M`` sees it change and should
-snapshot it with ``.copy()``. Reading ``state.M`` folds the applied rows and
-keeps the rest of the block, so every M a caller sees is exact and exactly
-symmetric.
+Rows that were not announced are mapped by update_chunk and get a one-chunk
+look-ahead of their own, which costs what a per-chunk update costs. M is
+downdated in its own memory, so a caller holding a reference to ``state.M``
+sees it change and should snapshot it with ``.copy()``. Reading
+``state.M`` folds the applied rows and keeps the rest of the block, so
+every M a caller sees is exact and exactly symmetric.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .elm import ElmParams, _normal_equations, hidden_map
+from .elm import ElmParams, _as_rows, _normal_equations, hidden_map
 from .numerics import SingularMatrixError, cholesky_spd, mirror_lower
 
 
@@ -50,12 +51,13 @@ _STALE_FRACTION = 0.5
 
 @dataclass(slots=True)
 class _LookAhead:
-    """Announced rows H, gain factor F F' = I + H M H' and U = F^-1 H M.
+    """Announced rows X, their hidden rows H, F F' = I + H M H', U = F^-1 H M.
 
     Rows [:used] are applied to beta and not yet folded into M. A chunk may
     start at any row up to ``trusted`` (see _STALE_FRACTION).
     """
 
+    X: np.ndarray
     H: np.ndarray
     F: np.ndarray
     U: np.ndarray
@@ -67,15 +69,11 @@ class OselmState:
     """Mutable sequential-training state.
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
-    the accumulated hidden-feature Gram matrix. Updates write M in place
-    (snapshot it with ``.copy()`` to keep an old value). The downdates of
-    chunks applied since the last ``look_ahead`` are held back; reading
-    ``state.M`` folds them in and keeps the announced rows still to come, so
-    the array returned is always the same object, exact and exactly
-    symmetric. Assigning ``state.M`` stores the array as given and drops the
-    held-back downdates and the look-ahead. beta is replaced by a new array
-    on each update. Single-writer: never update or read one state from two
-    threads.
+    the accumulated hidden-feature Gram matrix, written in place (see the
+    module docstring); reading ``state.M`` always returns the same object.
+    Assigning ``state.M`` stores the array as given and drops the held-back
+    downdates and the look-ahead. beta is replaced by a new array on each
+    update. Single-writer: never update or read one state from two threads.
     """
 
     def __init__(self, beta: np.ndarray, M: np.ndarray, samples_seen: int,
@@ -116,7 +114,8 @@ def _fold(state: OselmState) -> None:
     # mirror keeps M exactly symmetric for the product and the reader
     blas.dsyrk(-1.0, ahead.U[:u].T, beta=1.0, c=state._M.T, overwrite_c=1)
     mirror_lower(state._M)
-    ahead.H, ahead.F, ahead.U = ahead.H[u:], ahead.F[u:, u:], ahead.U[u:]
+    ahead.X, ahead.H = ahead.X[u:], ahead.H[u:]
+    ahead.F, ahead.U = ahead.F[u:, u:], ahead.U[u:]
     ahead.trusted, ahead.used = ahead.trusted - u, 0
 
 
@@ -149,56 +148,55 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
                       ridge_used=float(ridge))
 
 
-def _check_finite(name: str, A) -> None:
+def _check_finite(who: str, name: str, A) -> None:
     finite_rows = np.isfinite(A).all(axis=1)
     if not finite_rows.all():
         raise ValueError(
-            f"update_chunk: {name} row {int(np.argmin(finite_rows))} is not "
+            f"{who}: {name} row {int(np.argmin(finite_rows))} is not "
             "finite; the state was left unchanged")
 
 
-def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
-                 Hc=None, scores=None) -> OselmState:
-    """Block update for a chunk of samples; mutates and returns the state.
+def _check_state(state: OselmState, L: int) -> None:
+    # the private array: reading state.M would fold the applied rows
+    if state._M.shape != (L, L) or state.beta.shape[0] != L:
+        raise ValueError(f"state shapes M {state._M.shape}, beta "
+                         f"{state.beta.shape} do not match n_hidden={L}")
 
-    With the Cholesky factor F F' = I + Hc M Hc' and U = F^-1 Hc M:
+
+def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
+                 scores=None) -> OselmState:
+    """Block update for a chunk of feature rows; mutates and returns the state.
+
+    With Hc the hidden rows of Xc, F F' = I + Hc M Hc' and U = F^-1 Hc M:
         M' = M - U'U
         beta' = beta + U'F^-1 (Yc - Hc beta)
-    the matrix-inversion-lemma form of recursive least squares. Hc, the
-    hidden-layer rows of Xc, and scores, the chunk's raw outputs Hc beta
-    under the current weights, are computed here unless the caller passes
-    them. When Hc is the next announced rows, F and U come from the
-    look-ahead and only the beta step runs here; otherwise this call
-    announces Hc itself. U'U is held back from M (see the module docstring).
-    A NaN or inf in the chunk, the scores, beta or M raises ValueError, and a
-    singular gain SingularMatrixError. Every check runs before beta,
-    samples_seen or the value of M is touched, so an update that raises
-    leaves them as they were.
+    the matrix-inversion-lemma form of recursive least squares. scores, the
+    raw outputs Hc beta under the current weights, are computed unless
+    passed. When Xc equals the next announced rows, Hc, F and U come from
+    the look-ahead and only the beta step runs; otherwise Xc is mapped and
+    announced here. U'U is held back from M (see the module docstring). A
+    NaN or inf in the chunk, the scores, beta or M raises ValueError, and a
+    singular gain SingularMatrixError, before beta, samples_seen or the
+    value of M is touched.
     """
     Xc = np.asarray(Xc, dtype=np.float64)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
-    L = params.n_hidden
-    if Hc is None:
-        Hc = hidden_map(params, Xc)
+    _check_state(state, params.n_hidden)
+    ahead = state._ahead
+    if ahead is not None and Xc.ndim == 2 and np.array_equal(
+            Xc, ahead.X[ahead.used:ahead.used + len(Xc)]):
+        # checked when they were announced; NaN never compares equal
+        Hc = ahead.H[ahead.used:ahead.used + len(Xc)]
     else:
-        Hc = np.asarray(Hc, dtype=np.float64)
-        if Xc.ndim != 2 or Hc.shape != (Xc.shape[0], L):
-            raise ValueError(
-                f"hidden rows of shape {Hc.shape} do not match "
-                f"({Xc.shape[0]}, {L})")
-    c = Hc.shape[0]
-    m = state.beta.shape[1]
+        ahead = None
+        Xc = _as_rows(params, Xc)
+        _check_finite("update_chunk", "Xc", Xc)
+        Hc = hidden_map(params, Xc)
+    c, m = len(Hc), state.beta.shape[1]
     if Yc.shape != (c, m):
         raise ValueError(
             f"chunk target shape {Yc.shape} does not match ({c}, {m})")
-    # the private array: reading state.M would fold the applied rows
-    M = state._M
-    if M.shape != (L, L) or state.beta.shape[0] != L:
-        raise ValueError(
-            f"state shapes M {M.shape}, beta {state.beta.shape} do not "
-            f"match n_hidden={L}")
-    for name, A in (("Xc", Xc), ("Yc", Yc), ("Hc", Hc)):
-        _check_finite(name, A)
+    _check_finite("update_chunk", "Yc", Yc)
     if scores is None:
         # a non-finite beta is reported by the scores check below
         with np.errstate(invalid="ignore", over="ignore"):
@@ -209,16 +207,14 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
             raise ValueError(
                 f"chunk scores of shape {scores.shape} do not match "
                 f"({c}, {m})")
-    _check_finite("scores", scores)
+    _check_finite("update_chunk", "scores", scores)
 
-    ahead = state._ahead
-    if ahead is None or not np.array_equal(
-            Hc, ahead.H[ahead.used:ahead.used + c]):
-        ahead = look_ahead(state, Hc)._ahead
+    if ahead is None:
+        ahead = _announce(state, Xc, Hc)
     elif ahead.used > ahead.trusted:
         # the staleness guard (see _STALE_FRACTION): fold, then announce the
-        # rows still to come again
-        ahead = look_ahead(state, ahead.H[ahead.used:])._ahead
+        # rows still to come again, with the hidden rows already mapped
+        ahead = _announce(state, ahead.X[ahead.used:], ahead.H[ahead.used:])
     r0, r1 = ahead.used, ahead.used + c
     # w' F' = r' gives w = F^-1 r in the residual's memory
     residual = Yc - scores
@@ -261,31 +257,37 @@ def _solve_lower(F, P) -> np.ndarray:
     return P
 
 
-def look_ahead(state: OselmState, H) -> OselmState:
-    """Announce the hidden rows of the next chunks; mutates and returns it.
+def look_ahead(state: OselmState, params: ElmParams, X) -> np.ndarray:
+    """Announce the feature rows of the next chunks; returns their hidden rows.
 
-    Folds the applied rows of the last block into M with one rank-k
-    downdate, projects H through M with one product, P = H M, and solves the
-    block's gain once: the Cholesky factor F F' = I + P H' and U = F^-1 P.
-    The update_chunk calls whose hidden rows are the next unconsumed rows of
-    H, in order, take their factor and downdate rows from F and U. H is
-    copied. A singular gain raises SingularMatrixError and leaves beta, M
-    and samples_seen as they were, with nothing announced. Announcing again,
-    or assigning ``state.M``, drops the rows not yet consumed; rows that
-    never arrive cost nothing more.
+    X is copied, checked finite and mapped once; its hidden rows H come back
+    read-only for scoring the chunks. The update_chunk calls whose rows are
+    the next unconsumed rows of X, in order, take their hidden rows, gain
+    factor and downdate from the look-ahead. A non-finite X raises
+    ValueError before the state is touched (see _announce for the gain).
+    """
+    _check_state(state, params.n_hidden)
+    X = np.array(_as_rows(params, X), order="C")
+    _check_finite("look_ahead", "X", X)
+    # positional: the per-layer benchmark wrappers read the rows as args[1]
+    return _announce(state, X, hidden_map(params, X)).H
+
+
+def _announce(state: OselmState, X, H) -> _LookAhead:
+    """Announce feature rows X with their hidden rows H; returns the block.
+
+    Folds the applied rows of the last block into M, projects P = H M with
+    one product and solves the gain once: F F' = I + P H' and U = F^-1 P.
+    A singular gain raises SingularMatrixError and leaves beta, M and
+    samples_seen as they were, with nothing announced. Announcing again, or
+    assigning ``state.M``, drops the rows not yet consumed.
     """
     M = state._M
-    H = np.array(H, dtype=np.float64, order="C")
-    if H.ndim != 2 or M.ndim != 2 or H.shape[1] != M.shape[0]:
-        raise ValueError(
-            f"look_ahead: hidden rows of shape {H.shape} do not match "
-            f"M of shape {M.shape}")
     if not (M.dtype == np.float64 and M.flags.c_contiguous
             and M.flags.writeable):
         # BLAS writes into M.T; f2py would write through a read-only flag,
         # and it copies any other layout. The value of M is unchanged.
-        M = np.array(M, dtype=np.float64, order="C")
-        state._M = M
+        state._M = M = np.array(M, dtype=np.float64, order="C")
     _fold(state)
     state._ahead = None
     P = H @ M
@@ -305,5 +307,6 @@ def look_ahead(state: OselmState, H) -> OselmState:
     U = _solve_lower(F, P)
     removed = np.einsum("ij,ij->i", U, U).cumsum()
     trusted = int(removed.searchsorted(_STALE_FRACTION * M.trace(), "right"))
-    state._ahead = _LookAhead(H, F, U, trusted)
-    return state
+    H.setflags(write=False)
+    state._ahead = _LookAhead(X, H, F, U, trusted)
+    return state._ahead

@@ -11,12 +11,13 @@ import pytest
 from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
                          ThresholdCalib, calibrate_chunk, cv_folds,
                          decode_rows, emit_report, harness, init_params,
-                         init_phase, load_dataset, load_dataset_defaults,
-                         load_model, normalize_apply, normalize_fit,
+                         hidden_map, init_phase, load_dataset,
+                         load_dataset_defaults, load_model, normalize_fit,
                          predict_raw, predict_sets, run_cv_bundle,
                          run_stream_split, save_model, split,
                          threshold_value, train_stream, update_chunk)
 from streamlabel.cli import main
+from streamlabel.dataio import _normalize_rows
 
 from conftest import golden_run_report, separable_bundle, synthetic_bundle
 
@@ -67,7 +68,9 @@ def test_config_is_frozen_and_checked_on_replace():
     ("chunk_size", 2.5), ("n_train", False), ("seed", 1.5), ("seed", None),
     ("min_one", "no"), ("min_one", 1), ("normalize", None),
     ("ridge", math.nan), ("ridge", math.inf), ("ridge", "0.5"),
-    ("ridge", True), ("data_format", "xlsx"),
+    ("ridge", True), ("data_format", "xlsx"), ("label_spec", 2.5),
+    ("label_spec", 0), ("label_spec", True), ("label_spec", ""),
+    ("label_spec", []), ("label_spec", ("a", 2)),
 ])
 def test_config_checks_types(key, value):
     # each of these used to build, then fail later or run as something else
@@ -348,6 +351,13 @@ def _set_field(key, value):
     return edit
 
 
+def _bump_m(doc):
+    # a stored M that is not exactly symmetric, which save_model never writes
+    M = harness._decode_array(doc["arrays"]["M"], "M", (6, 6)).copy()
+    M[0, 1] += 1.0
+    doc["arrays"]["M"] = harness._encode_array(M)
+
+
 def _set_b_shape(doc):
     # 20 values, so only the negative shape itself is wrong
     doc["arrays"]["b"] = dict(harness._encode_array(np.zeros(20)),
@@ -372,6 +382,7 @@ def _set_b_shape(doc):
     (_set_array("b", np.full(6, np.inf)), "'b'"),
     (_set_array("beta", np.full((6, 2), np.nan)), "'beta'"),
     (_set_array("M", np.full((6, 6), -np.inf)), "'M'"),
+    (_bump_m, "'M' is not symmetric"),
     (_set_array("norm_min", np.full(4, np.nan)), "'norm_min'"),
     (_set_array("norm_max", np.full(4, np.inf)), "'norm_max'"),
     (_set_field("threshold", math.nan), "'threshold'"),
@@ -395,9 +406,10 @@ def _set_b_shape(doc):
 ], ids=["no-arrays", "no-n_hidden", "no-M", "activation", "n_labels",
         "zero-features", "W-width", "beta-short", "M-width", "norm_min-short",
         "norm_max-long", "b-negative-shape", "norm_max-missing", "W-nan",
-        "b-inf", "beta-nan", "M-inf", "norm_min-nan", "norm_max-inf",
-        "threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf",
-        "samples_seen-negative", "ridge-negative", "samples_seen-bool",
+        "b-inf", "beta-nan", "M-inf", "M-asymmetric", "norm_min-nan",
+        "norm_max-inf", "threshold-nan", "threshold-inf", "ridge-nan",
+        "ridge-inf", "samples_seen-negative", "ridge-negative",
+        "samples_seen-bool",
         "n_hidden-fraction", "n_hidden-float", "seed-string",
         "threshold-bool", "threshold-string", "ridge-string", "ridge-bool",
         "arrays-list", "b-short-data"])
@@ -501,7 +513,7 @@ def test_train_stream_maps_each_streamed_row_once(monkeypatch):
         rows.append(len(X))
         return real(params, X)
 
-    for module in (elm, harness, online):
+    for module in (elm, online):
         monkeypatch.setattr(module, "hidden_map", counting)
     bundle = synthetic_bundle(400, 6, 3, seed=36)
     train_stream(_config(n_hidden=25, n_init=100, chunk_size=30), bundle)
@@ -534,42 +546,42 @@ def test_train_stream_calls_update_chunk_once_per_epoch(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 256, 300])
 def test_train_stream_maps_whole_chunks_in_blocks(monkeypatch, chunk):
     import streamlabel.harness as harness
-    real_map, real_update = harness.hidden_map, harness.update_chunk
-    mapped, updated = [], []
+    real_announce, real_update = harness.look_ahead, harness.update_chunk
+    announced, updated = [], []
 
-    def counting_map(params, X):
-        mapped.append(X)
-        return real_map(params, X)
+    def counting_announce(state, params, X):
+        announced.append(X)
+        return real_announce(state, params, X)
 
     def counting_update(*args, **kwargs):
         updated.append(args[2])
         return real_update(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "hidden_map", counting_map)
+    monkeypatch.setattr(harness, "look_ahead", counting_announce)
     monkeypatch.setattr(harness, "update_chunk", counting_update)
     bundle = synthetic_bundle(1000, 6, 3, seed=41)
     config = _config(n_hidden=20, n_init=100, chunk_size=chunk)
     model = train_stream(config, bundle)
 
-    # every streamed row is mapped once, in order
-    assert np.array_equal(np.concatenate(mapped), np.concatenate(updated))
-    assert sum(len(X) for X in mapped) == 1000 - 100
+    # every streamed row is announced once, in order
+    assert np.array_equal(np.concatenate(announced), np.concatenate(updated))
+    assert sum(len(X) for X in announced) == 1000 - 100
     block_rows = max(1, min(harness._MAP_ROWS, 20 // 3) // chunk) * chunk
-    assert len(mapped) == math.ceil((1000 - 100) / block_rows)
-    # every map call starts and ends on a chunk boundary
+    assert len(announced) == math.ceil((1000 - 100) / block_rows)
+    # every announced block starts and ends on a chunk boundary
     chunk_ends = set(np.cumsum([len(X) for X in updated]).tolist())
-    map_ends = set(np.cumsum([len(X) for X in mapped]).tolist())
-    assert map_ends <= chunk_ends
+    block_ends = set(np.cumsum([len(X) for X in announced]).tolist())
+    assert block_ends <= chunk_ends
 
     # the same stream, one hidden map per chunk
-    norm = normalize_apply(normalize_fit(bundle), bundle)
-    targets = np.where(harness.label_matrix(norm.labelsets, norm.m), 1.0, -1.0)
+    X = _normalize_rows(normalize_fit(bundle), bundle.X)
+    targets = np.where(harness.label_matrix(bundle.labelsets, bundle.m),
+                       1.0, -1.0)
     params = init_params(6, 20, config.seed)
-    state = init_phase(params, norm.X[:100], targets[:100])
+    state = init_phase(params, X[:100], targets[:100])
     for start in range(100, 1000, chunk):
-        Xc = norm.X[start:start + chunk]
-        real_update(state, params, Xc, targets[start:start + chunk],
-                    Hc=real_map(params, Xc))
+        real_update(state, params, X[start:start + chunk],
+                    targets[start:start + chunk])
     rel = (np.linalg.norm(model.state.beta - state.beta)
            / np.linalg.norm(state.beta))
     assert rel <= 1e-9
@@ -595,22 +607,21 @@ def test_train_stream_look_ahead_matches_per_chunk_loop(monkeypatch):
     model = train_stream(config, bundle)
 
     # the same stream with no announcements: one look-ahead per chunk
-    norm = normalize_apply(normalize_fit(bundle), bundle)
-    truth = harness.label_matrix(norm.labelsets, norm.m)
+    X = _normalize_rows(normalize_fit(bundle), bundle.X)
+    truth = harness.label_matrix(bundle.labelsets, bundle.m)
     targets = np.where(truth, 1.0, -1.0)
     params = init_params(30, 80, config.seed)
-    state = init_phase(params, norm.X[:100], targets[:100])
+    state = init_phase(params, X[:100], targets[:100])
     calib = harness.ThresholdCalib()
     starts = range(100, 700, 4)
     assert len(streamed) == len(starts)
     for raw_streamed, start in zip(streamed, starts):
-        Xc = norm.X[start:start + 4]
-        Hc = harness.hidden_map(params, Xc)
-        raw = Hc @ state.beta
+        Xc = X[start:start + 4]
+        raw = hidden_map(params, Xc) @ state.beta
         assert (np.linalg.norm(raw_streamed - raw)
                 <= 1e-10 * np.linalg.norm(raw))
         real_calibrate(calib, raw, truth[start:start + 4])
-        update_chunk(state, params, Xc, targets[start:start + 4], Hc=Hc,
+        update_chunk(state, params, Xc, targets[start:start + 4],
                      scores=raw)
 
     def rel(got, want):
@@ -628,7 +639,7 @@ def test_train_stream_sweeps_m_once_per_block(monkeypatch):
     import streamlabel.elm as elm
     import streamlabel.online as online
     real_blas = online.blas
-    real_look_ahead = online.look_ahead
+    real_announce = online._announce
     projections = []  # (caller, rows) of each look-ahead: one H M product
     folds = []  # the function each dsyrk call ran under
     active = ["other"]
@@ -644,22 +655,28 @@ def test_train_stream_sweeps_m_once_per_block(monkeypatch):
                 return fn(*args, **kwargs)
             return counted
 
-    def tagged(tag):
-        def look_ahead(state, H):
-            projections.append((tag, len(H)))
+    def tagged(tag, fn):
+        def wrapper(*args, **kwargs):
             active.append(tag)
             try:
-                return real_look_ahead(state, H)
+                return fn(*args, **kwargs)
             finally:
                 active.pop()
-        return look_ahead
+        return wrapper
+
+    def announce(state, X, H):
+        projections.append((active[-1], len(H)))
+        return real_announce(state, X, H)
 
     monkeypatch.setattr(online, "blas", CountingBlas())
     monkeypatch.setattr(elm, "blas", CountingBlas())
+    monkeypatch.setattr(online, "_announce", announce)
     # train_stream announces; update_chunk re-projects when the staleness
     # guard fires, or when its rows were not announced
-    monkeypatch.setattr(harness, "look_ahead", tagged("train_stream"))
-    monkeypatch.setattr(online, "look_ahead", tagged("update_chunk"))
+    monkeypatch.setattr(harness, "look_ahead",
+                        tagged("train_stream", harness.look_ahead))
+    monkeypatch.setattr(harness, "update_chunk",
+                        tagged("update_chunk", harness.update_chunk))
     # the stream-wide shape, scaled down: L = 400, chunks of 20, ridge 1e-6
     bundle = synthetic_bundle(1500, 30, 6, seed=44)
     config = _config(n_hidden=400, n_init=500, chunk_size=20, ridge=1e-6,
@@ -737,14 +754,14 @@ def test_recalibrate_and_predict_sets_match_one_pass_over_all_rows():
     model = train_stream(config, train)
     stats = model.norm_stats
     beta = model.state.beta
-    raw = predict_raw(model.params, beta, normalize_apply(stats, train).X)
+    raw = predict_raw(model.params, beta, _normalize_rows(stats, train.X))
     whole = calibrate_chunk(ThresholdCalib(), raw,
                             harness.label_matrix(train.labelsets, train.m))
     assert model.threshold == threshold_value(whole)
 
     preds, _ = predict_sets(model.params, beta, model.threshold, stats, test,
                             min_one=True)
-    raw = predict_raw(model.params, beta, normalize_apply(stats, test).X)
+    raw = predict_raw(model.params, beta, _normalize_rows(stats, test.X))
     assert preds == decode_rows(raw, model.threshold, min_one=True)
 
 
@@ -797,6 +814,6 @@ def test_reloaded_model_predict_sets_match_one_decode(tmp_path):
                               loaded.threshold, loaded.norm_stats, probe,
                               config.min_one)
         raw = predict_raw(loaded.params, loaded.state.beta,
-                          normalize_apply(loaded.norm_stats, probe).X)
+                          _normalize_rows(loaded.norm_stats, probe.X))
         assert got == decode_rows(raw, loaded.threshold, config.min_one), n
         assert len(got) == n and all(got)

@@ -294,28 +294,14 @@ def test_non_finite_chunk_leaves_state_untouched(name, row):
     assert st.samples_seen == 50
 
 
-def test_update_chunk_precomputed_hidden_rows():
-    p = init_params(8, 10, seed=34)
-    X, Y = _stream(35, n=70)
-    a = init_phase(p, X[:50], Y[:50])
-    b = init_phase(p, X[:50], Y[:50])
-    update_chunk(a, p, X[50:70], Y[50:70])
-    update_chunk(b, p, X[50:70], Y[50:70], Hc=hidden_map(p, X[50:70]))
-    assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.M, b.M)
-    with pytest.raises(ValueError, match="hidden rows"):
-        update_chunk(b, p, X[50:70], Y[50:70], Hc=hidden_map(p, X[50:69]))
-    assert b.samples_seen == 70
-
-
 def test_update_chunk_precomputed_scores():
     p = init_params(8, 10, seed=36)
     X, Y = _stream(37, n=70)
     a = init_phase(p, X[:50], Y[:50])
     b = init_phase(p, X[:50], Y[:50])
-    Hc = hidden_map(p, X[50:70])
-    update_chunk(a, p, X[50:70], Y[50:70], Hc=Hc)
-    update_chunk(b, p, X[50:70], Y[50:70], Hc=Hc, scores=Hc @ b.beta)
+    update_chunk(a, p, X[50:70], Y[50:70])
+    update_chunk(b, p, X[50:70], Y[50:70],
+                 scores=hidden_map(p, X[50:70]) @ b.beta)
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.M, b.M)
     assert a.samples_seen == b.samples_seen == 70
@@ -326,8 +312,7 @@ def test_bad_scores_leave_state_untouched(bad):
     p = init_params(8, 10, seed=38)
     X, Y = _stream(39, n=60)
     st = init_phase(p, X[:50], Y[:50])
-    Hc = hidden_map(p, X[50:55])
-    scores = Hc @ st.beta
+    scores = hidden_map(p, X[50:55]) @ st.beta
     if bad == "short":
         scores, match = scores[:4], "chunk scores of shape"
     elif bad == "wide":
@@ -338,7 +323,7 @@ def test_bad_scores_leave_state_untouched(bad):
     M = st.M
     beta, M_copy = st.beta.copy(), st.M.copy()
     with pytest.raises(ValueError, match=match):
-        update_chunk(st, p, X[50:55], Y[50:55], Hc=Hc, scores=scores)
+        update_chunk(st, p, X[50:55], Y[50:55], scores=scores)
     assert st.M is M
     assert np.array_equal(st.M, M_copy)
     assert np.array_equal(st.beta, beta)
@@ -361,7 +346,7 @@ def test_m_is_mirrored_once_per_fold(monkeypatch):
     monkeypatch.setattr(online, "mirror_lower", counting)
     # one block of four chunks, too small for the staleness guard: their
     # downdates are held back, so nothing is folded or mirrored
-    look_ahead(st, hidden_map(p, X[160:200]))
+    look_ahead(st, p, X[160:200])
     for start in range(160, 200, 10):
         update_chunk(st, p, X[start:start + 10], Y[start:start + 10])
     assert calls == []
@@ -427,47 +412,46 @@ def test_non_finite_state_raises_and_leaves_state_untouched(where, match):
 
 
 def _announced(seed, L=40, c=5, n=120, n0=60):
-    """Twin states on one stream, its hidden rows and the chunk starts."""
+    """Twin states on one stream and the chunk starts."""
     p = init_params(8, L, seed=seed)
     X, Y = _stream(seed + 1, n=n)
-    H = hidden_map(p, X)
     a = init_phase(p, X[:n0], Y[:n0])
     b = init_phase(p, X[:n0], Y[:n0])
-    return p, X, Y, H, a, b, range(n0, n, c)
+    return p, X, Y, a, b, range(n0, n, c)
 
 
 def test_unannounced_rows_give_the_per_chunk_result():
-    p, X, Y, H, a, b, starts = _announced(50)
+    p, X, Y, a, b, starts = _announced(50)
     # b was told to expect other rows: each chunk falls back to a
     # look-ahead of its own, which is exactly the unannounced update
-    look_ahead(b, H[::-1][:20])
+    look_ahead(b, p, X[::-1][:20])
     for s in starts:
-        update_chunk(a, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+        update_chunk(a, p, X[s:s + 5], Y[s:s + 5])
+        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.M, b.M)
 
     # a block whose third chunk differs from the announced rows: the two
     # chunks before it are pending, and its own look-ahead folds them in
-    p, X, Y, H, a, b, starts = _announced(52)
-    look_ahead(b, H[60:80])
+    p, X, Y, a, b, starts = _announced(52)
+    look_ahead(b, p, X[60:80])
     for s in starts:
-        Hc = H[s:s + 5].copy()
+        Xc = X[s:s + 5].copy()
         if s == 70:
-            Hc[1, 3] += 1e-3
-        update_chunk(a, p, X[s:s + 5], Y[s:s + 5], Hc=Hc)
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5], Hc=Hc)
+            Xc[1, 3] += 1e-3
+        update_chunk(a, p, Xc, Y[s:s + 5])
+        update_chunk(b, p, Xc, Y[s:s + 5])
     rel = np.linalg.norm(a.beta - b.beta) / np.linalg.norm(a.beta)
     assert rel <= 1e-10
     assert np.max(np.abs(a.M - b.M)) <= 1e-10 * np.max(np.abs(a.M))
 
 
 def test_m_read_mid_block_is_exact_and_the_stream_continues():
-    p, X, Y, H, a, b, starts = _announced(54)
-    look_ahead(b, H[60:120])
+    p, X, Y, a, b, starts = _announced(54)
+    look_ahead(b, p, X[60:120])
     for s in starts:
-        update_chunk(a, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+        update_chunk(a, p, X[s:s + 5], Y[s:s + 5])
+        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
         if s == 80:
             # the pending downdate of chunks 60..85 is folded into the read
             scale = np.max(np.abs(a.M))
@@ -479,35 +463,36 @@ def test_m_read_mid_block_is_exact_and_the_stream_continues():
     assert b.samples_seen == a.samples_seen == 120
 
 
-def _reprojections(monkeypatch, state):
-    """Row counts of the look-ahead calls update_chunk makes for state."""
+def _announces(monkeypatch, state):
+    """Row counts of the announces made for state: look_ahead's own, and
+    those update_chunk makes when it re-projects."""
     import streamlabel.online as online
-    real, calls = online.look_ahead, []
+    real, calls = online._announce, []
 
-    def counting(st, H):
+    def counting(st, X, H):
         if st is state:
             calls.append(len(H))
-        return real(st, H)
+        return real(st, X, H)
 
-    monkeypatch.setattr(online, "look_ahead", counting)
+    monkeypatch.setattr(online, "_announce", counting)
     return calls
 
 
 def test_m_read_mid_block_keeps_the_announced_rows(monkeypatch):
     # the rows still to come do not depend on when M is folded, so reads
     # fold the applied rows and keep the rest of the block
-    p, X, Y, H, a, b, starts = _announced(64, L=20, n=80)
-    reprojected = _reprojections(monkeypatch, b)
+    p, X, Y, a, b, starts = _announced(64, L=20, n=80)
+    announces = _announces(monkeypatch, b)
     for st in (a, b):
-        look_ahead(st, H[60:80])
+        look_ahead(st, p, X[60:80])
     for s in starts:
         for st in (a, b):
-            update_chunk(st, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+            update_chunk(st, p, X[s:s + 5], Y[s:s + 5])
         if s == 60:
             repr(b)  # reads b.M
         elif s == 65:
             assert np.array_equal(b.M, b.M.T)
-    assert reprojected == []
+    assert announces == [20]  # the look_ahead call alone
     assert np.array_equal(a.beta, b.beta)
     assert np.max(np.abs(a.M - b.M)) <= 1e-12 * np.max(np.abs(a.M))
     assert np.array_equal(b.M, b.M.T)
@@ -516,26 +501,26 @@ def test_m_read_mid_block_keeps_the_announced_rows(monkeypatch):
 def test_uneven_chunks_in_one_block_match_the_per_chunk_loop(monkeypatch):
     # the gain is solved row by row, so where a block is cut into chunks
     # does not matter
-    p, X, Y, H, a, b, _ = _announced(66, L=20, n=80)
-    reprojected = _reprojections(monkeypatch, b)
-    look_ahead(b, H[60:80])
+    p, X, Y, a, b, _ = _announced(66, L=20, n=80)
+    announces = _announces(monkeypatch, b)
+    look_ahead(b, p, X[60:80])
     s = 60
     for c in (3, 7, 1, 9):
         for st in (a, b):
-            update_chunk(st, p, X[s:s + c], Y[s:s + c], Hc=H[s:s + c])
+            update_chunk(st, p, X[s:s + c], Y[s:s + c])
         s += c
-    assert reprojected == []
+    assert announces == [20]  # the look_ahead call alone
     assert np.max(np.abs(a.beta - b.beta)) <= 1e-10 * np.max(np.abs(a.beta))
     assert np.max(np.abs(a.M - b.M)) <= 1e-10 * np.max(np.abs(a.M))
     assert b.samples_seen == a.samples_seen == 80
 
 
 def test_assigning_m_mid_block_drops_the_pending_rows():
-    p, X, Y, H, a, b, starts = _announced(56)
+    p, X, Y, a, b, starts = _announced(56)
     snapshot = a.M.copy()
-    look_ahead(b, H[60:80])
+    look_ahead(b, p, X[60:80])
     for s in (60, 65):
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
     given = snapshot.copy()
     b.M = given
     assert b.M is given
@@ -543,17 +528,17 @@ def test_assigning_m_mid_block_drops_the_pending_rows():
     # the rest of the block no longer takes its rows from the old projection
     a.beta = b.beta.copy()
     for s in (70, 75):
-        update_chunk(a, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+        update_chunk(a, p, X[s:s + 5], Y[s:s + 5])
+        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
     assert np.array_equal(a.beta, b.beta)
     assert np.array_equal(a.M, b.M)
 
 
 def test_failed_update_mid_block_leaves_state_untouched():
-    p, X, Y, H, a, b, starts = _announced(58)
+    p, X, Y, a, b, starts = _announced(58)
     for st in (a, b):
-        look_ahead(st, H[60:80])
-        update_chunk(st, p, X[60:65], Y[60:65], Hc=H[60:65])
+        look_ahead(st, p, X[60:80])
+        update_chunk(st, p, X[60:65], Y[60:65])
     Xc = X[65:70].copy()
     Xc[2, 1] = np.nan
     with pytest.raises(ValueError, match="Xc row 2 is not finite"):
@@ -561,7 +546,7 @@ def test_failed_update_mid_block_leaves_state_untouched():
     # the rest of the block still comes from the look-ahead, in step with a
     for s in (65, 70):
         for st in (a, b):
-            update_chunk(st, p, X[s:s + 5], Y[s:s + 5], Hc=H[s:s + 5])
+            update_chunk(st, p, X[s:s + 5], Y[s:s + 5])
     assert np.array_equal(a.beta, b.beta)
     assert b.samples_seen == a.samples_seen == 75
     assert np.array_equal(a.M, b.M)
@@ -569,17 +554,20 @@ def test_failed_update_mid_block_leaves_state_untouched():
 
 def test_singular_gain_mid_block_leaves_state_untouched():
     # a hand-built negative definite M: the gain I + H M H' stays positive
-    # for small rows and turns indefinite for large ones
+    # for small hidden rows and turns indefinite for large ones. With W = I
+    # and b = 0 each hidden unit is the sigmoid of one feature: features in
+    # [-10, -8) give rows under 4e-4, and features in [8, 10) rows near 1
     rng = np.random.default_rng(60)
     L = 10
-    p = ElmParams(W=np.zeros((L, 3)), b=np.zeros(L))
-    H = rng.uniform(size=(15, L)) * np.array([[0.1]] * 5 + [[10.0]] * 10)
+    p = ElmParams(W=np.eye(L), b=np.zeros(L))
+    X = rng.uniform(8.0, 10.0, size=(15, L)) * np.array([[-1.0]] * 5
+                                                         + [[1.0]] * 10)
     Y = np.where(rng.integers(0, 2, size=(15, 2)) == 1, 1.0, -1.0)
-    a, b = (OselmState(beta=np.zeros((L, 2)), M=-0.01 * np.eye(L),
+    a, b = (OselmState(beta=np.zeros((L, 2)), M=-0.2 * np.eye(L),
                        samples_seen=1, ridge_used=0.0) for _ in range(2))
     for st in (a, b):
-        look_ahead(st, H[:5])
-        update_chunk(st, p, np.zeros((5, 3)), Y[:5], Hc=H[:5])
+        look_ahead(st, p, X[:5])
+        update_chunk(st, p, X[:5], Y[:5])
 
     def untouched():
         assert np.array_equal(a.beta, b.beta)
@@ -589,11 +577,11 @@ def test_singular_gain_mid_block_leaves_state_untouched():
     # announced rows: the block's gain is factored, and fails, at announce
     with pytest.raises(SingularMatrixError,
                        match=r"look_ahead: gain matrix is singular \(pivot"):
-        look_ahead(b, H[5:])
+        look_ahead(b, p, X[5:])
     untouched()
     # rows not announced: the failing chunk's own update raises
     with pytest.raises(SingularMatrixError, match="gain matrix is singular"):
-        update_chunk(b, p, np.zeros((5, 3)), Y[5:10], Hc=H[5:10])
+        update_chunk(b, p, X[5:10], Y[5:10])
     untouched()
 
 
@@ -601,9 +589,53 @@ def test_look_ahead_checks_the_row_width():
     p = init_params(8, 10, seed=62)
     X, Y = _stream(63, n=60)
     st = init_phase(p, X[:50], Y[:50])
-    with pytest.raises(ValueError, match=r"look_ahead: hidden rows of shape "
-                                         r"\(4, 9\) do not match M"):
-        look_ahead(st, np.ones((4, 9)))
+    with pytest.raises(ValueError, match="X has 9 columns, hidden layer "
+                                         "expects 8"):
+        look_ahead(st, p, np.ones((4, 9)))
+    st.M = np.eye(11)
+    with pytest.raises(ValueError, match=r"^state shapes M \(11, 11\)"):
+        look_ahead(st, p, X[50:54])
+    assert st._ahead is None
+
+
+def test_look_ahead_returns_the_read_only_hidden_rows():
+    p = init_params(8, 10, seed=74)
+    X, Y = _stream(75, n=70)
+    st = init_phase(p, X[:50], Y[:50])
+    H = look_ahead(st, p, X[50:70])
+    assert not H.flags.writeable
+    assert np.array_equal(H, hidden_map(p, X[50:70]))
+
+
+def test_changing_x_after_the_announce_keeps_the_announced_rows(monkeypatch):
+    # look_ahead copies X: a chunk matches the rows as they were announced
+    p, X, Y, a, b, _ = _announced(76, L=20, n=80)
+    announces = _announces(monkeypatch, b)
+    block = X[60:80].copy()
+    look_ahead(b, p, block)
+    block[5:10] += 1.0
+    for s in range(60, 80, 5):
+        for st in (a, b):
+            update_chunk(st, p, X[s:s + 5], Y[s:s + 5])
+    assert announces == [20]  # the look_ahead call alone
+    assert np.max(np.abs(a.beta - b.beta)) <= 1e-10 * np.max(np.abs(a.beta))
+    assert np.max(np.abs(a.M - b.M)) <= 1e-10 * np.max(np.abs(a.M))
+
+
+def test_non_finite_announced_rows_raise_from_look_ahead():
+    p, X, Y, a, b, _ = _announced(78, L=20, n=80)
+    M = b.M
+    beta, M_copy = b.beta.copy(), b.M.copy()
+    Xb = X[60:80].copy()
+    Xb[3, 2] = np.nan
+    with pytest.raises(ValueError,
+                       match=r"^look_ahead: X row 3 is not finite"):
+        look_ahead(b, p, Xb)
+    assert b._ahead is None  # nothing announced
+    assert b.M is M
+    assert np.array_equal(b.M, M_copy)
+    assert np.array_equal(b.beta, beta)
+    assert b.samples_seen == 60
 
 
 def _stiff_errors(seed, block):
@@ -626,8 +658,8 @@ def _stiff_errors(seed, block):
         st = init_phase(p, X[:L], Y[:L])
         for s in range(L, n, c):
             if announce and (s - L) % block == 0:
-                look_ahead(st, H[s:s + block])
-            update_chunk(st, p, X[s:s + c], Y[s:s + c], Hc=H[s:s + c])
+                look_ahead(st, p, X[s:s + block])
+            update_chunk(st, p, X[s:s + c], Y[s:s + c])
         errors.append(np.linalg.norm(st.beta - ref) / np.linalg.norm(ref))
     return errors
 
@@ -716,7 +748,7 @@ def test_look_ahead_gain_equals_one_triangular_solve_on_a_stiff_stream(block):
     eps = np.finfo(np.float64).eps
     for s in (L, L + block):
         P = H[s:s + block] @ st.M
-        look_ahead(st, H[s:s + block])
+        look_ahead(st, p, X[s:s + block])
         F, U = np.tril(st._ahead.F), st._ahead.U
         residual = np.max(np.abs(F @ U - P))
         assert residual <= 8 * eps * np.abs(F).sum(axis=1).max() * \
@@ -724,5 +756,4 @@ def test_look_ahead_gain_equals_one_triangular_solve_on_a_stiff_stream(block):
         if block == 100:
             want = _one_dtrsm(st._ahead.F, P)
             assert np.max(np.abs(U - want)) <= 1e-13 * np.max(np.abs(want)), s
-        update_chunk(st, p, X[s:s + block], Y[s:s + block],
-                     Hc=H[s:s + block])
+        update_chunk(st, p, X[s:s + block], Y[s:s + block])
