@@ -527,7 +527,7 @@ def load_model(path) -> LoadedModel:
     if not np.array_equal(M, M.T):  # save_model writes it exactly symmetric
         raise ModelFormatError(f"{path}: model array 'M' is not symmetric")
     params = ElmParams(W=W, b=b)
-    state = OselmState(beta=beta.copy(), M=M.copy(),
+    state = OselmState(beta=beta.copy(), M=M,
                        samples_seen=samples_seen, ridge_used=ridge)
     norm_stats = None
     if arrays.get("norm_min") is not None or arrays.get("norm_max") is not None:

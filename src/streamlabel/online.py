@@ -17,16 +17,15 @@ is solved once per block of chunks (a look-ahead):
   M -= U[r0:r1]'U[r0:r1]. It returns H, read-only, for scoring the chunks.
 - ``update_chunk`` on the next announced feature rows only steps beta, which
   costs O(c L m) and does not touch M; a caller that already holds the
-  chunk's scores H[r0:r1] beta passes them as ``scores=``.
+  chunk's scores H[r0:r1] beta passes them as ``scores=``. Other rows are
+  announced by update_chunk with look_ahead, as a block of one chunk.
 - The next ``look_ahead`` folds the applied rows into M with one rank-k
   downdate, M -= U[:used]'U[:used].
 
-Rows that were not announced are mapped by update_chunk and get a one-chunk
-look-ahead of their own, which costs what a per-chunk update costs. M is
-downdated in its own memory, so a caller holding a reference to ``state.M``
-sees it change and should snapshot it with ``.copy()``. Reading
-``state.M`` folds the applied rows and keeps the rest of the block, so
-every M a caller sees is exact and exactly symmetric.
+M enters the state once, when it is built, and is downdated in its own
+memory, so a caller holding ``state.M`` should snapshot it with ``.copy()``.
+Reading ``state.M`` folds the applied rows and keeps the rest of the block,
+so every M a caller sees is exact and exactly symmetric.
 """
 
 from dataclasses import dataclass
@@ -35,7 +34,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .elm import ElmParams, _as_rows, _normal_equations, hidden_map
-from .numerics import SingularMatrixError, cholesky_spd, mirror_lower
+from .numerics import (_MIRROR_BLOCK, SingularMatrixError, cholesky_spd,
+                       mirror_lower)
 
 
 # The guard: the block's factor solves row i of U as its projection less the
@@ -69,17 +69,33 @@ class OselmState:
     """Mutable sequential-training state.
 
     beta is (n_hidden, n_labels), M is the (n_hidden, n_hidden) inverse of
-    the accumulated hidden-feature Gram matrix, written in place (see the
-    module docstring); reading ``state.M`` always returns the same object.
-    Assigning ``state.M`` stores the array as given and drops the held-back
-    downdates and the look-ahead. beta is replaced by a new array on each
-    update. Single-writer: never update or read one state from two threads.
+    the accumulated hidden-feature Gram matrix. M enters once, here, as a
+    finite, exactly symmetric (L, L) array, L being beta's row count; it is
+    copied unless C-ordered, writable and float64, then written in place
+    (see the module docstring). ``state.M`` cannot be assigned. beta is
+    replaced by a new array on each update. Single-writer: never update or
+    read one state from two threads.
     """
 
     def __init__(self, beta: np.ndarray, M: np.ndarray, samples_seen: int,
                  ridge_used: float):
+        M = np.asarray(M, dtype=np.float64)
+        L = beta.shape[0]
+        if M.shape != (L, L):
+            raise ValueError(f"OselmState: M is {M.shape}, not ({L}, {L})")
+        # one pass of row blocks, with no (L, L) temporary: an asymmetric M
+        # is rejected, not left for the first fold to repair
+        for i0 in range(0, L, _MIRROR_BLOCK):
+            rows = M[i0:i0 + _MIRROR_BLOCK]
+            if not np.isfinite(rows).all():
+                raise ValueError("OselmState: M has a NaN or infinite entry")
+            if not np.array_equal(rows, M[:, i0:i0 + _MIRROR_BLOCK].T):
+                raise ValueError("OselmState: M is not exactly symmetric")
+        # BLAS writes into M.T; f2py would write through a read-only flag,
+        # and it copies any other layout
+        self._M = M if M.flags.c_contiguous and M.flags.writeable else M.copy()
+        self._ahead = None
         self.beta = beta
-        self.M = M
         self.samples_seen = samples_seen
         self.ridge_used = ridge_used
 
@@ -87,11 +103,6 @@ class OselmState:
     def M(self) -> np.ndarray:
         _fold(self)
         return self._M
-
-    @M.setter
-    def M(self, value: np.ndarray) -> None:
-        self._M = value
-        self._ahead = None
 
     def __repr__(self) -> str:
         return (f"OselmState(beta={self.beta!r}, M={self.M!r}, "
@@ -173,49 +184,42 @@ def update_chunk(state: OselmState, params: ElmParams, Xc, Yc_bip, *,
     the matrix-inversion-lemma form of recursive least squares. scores, the
     raw outputs Hc beta under the current weights, are computed unless
     passed. When Xc equals the next announced rows, Hc, F and U come from
-    the look-ahead and only the beta step runs; otherwise Xc is mapped and
-    announced here. U'U is held back from M (see the module docstring). A
-    NaN or inf in the chunk, the scores, beta or M raises ValueError, and a
-    singular gain SingularMatrixError, before beta, samples_seen or the
-    value of M is touched.
+    the look-ahead and only the beta step runs; otherwise look_ahead
+    announces Xc, so its errors name look_ahead (``look_ahead: X row r is
+    not finite``). U'U is held back from M (see the module docstring). Any
+    ValueError or SingularMatrixError leaves beta, samples_seen and M's
+    value as they were; shapes, Yc and given scores are checked first.
     """
-    Xc = np.asarray(Xc, dtype=np.float64)
+    Xc = _as_rows(params, Xc)
     Yc = np.asarray(Yc_bip, dtype=np.float64)
     _check_state(state, params.n_hidden)
-    ahead = state._ahead
-    if ahead is not None and Xc.ndim == 2 and np.array_equal(
-            Xc, ahead.X[ahead.used:ahead.used + len(Xc)]):
-        # checked when they were announced; NaN never compares equal
-        Hc = ahead.H[ahead.used:ahead.used + len(Xc)]
-    else:
-        ahead = None
-        Xc = _as_rows(params, Xc)
-        _check_finite("update_chunk", "Xc", Xc)
-        Hc = hidden_map(params, Xc)
-    c, m = len(Hc), state.beta.shape[1]
+    c, m = len(Xc), state.beta.shape[1]
     if Yc.shape != (c, m):
         raise ValueError(
             f"chunk target shape {Yc.shape} does not match ({c}, {m})")
     _check_finite("update_chunk", "Yc", Yc)
-    if scores is None:
-        # a non-finite beta is reported by the scores check below
-        with np.errstate(invalid="ignore", over="ignore"):
-            scores = Hc @ state.beta
-    else:
+    if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (c, m):
-            raise ValueError(
-                f"chunk scores of shape {scores.shape} do not match "
-                f"({c}, {m})")
-    _check_finite("update_chunk", "scores", scores)
-
-    if ahead is None:
-        ahead = _announce(state, Xc, Hc)
+            raise ValueError(f"chunk scores of shape {scores.shape} do not "
+                             f"match ({c}, {m})")
+        _check_finite("update_chunk", "scores", scores)
+    ahead = state._ahead
+    if ahead is None or not np.array_equal(
+            Xc, ahead.X[ahead.used:ahead.used + c]):
+        # NaN never compares equal: announced rows are checked finite
+        look_ahead(state, params, Xc)
+        ahead = state._ahead
     elif ahead.used > ahead.trusted:
         # the staleness guard (see _STALE_FRACTION): fold, then announce the
         # rows still to come again, with the hidden rows already mapped
         ahead = _announce(state, ahead.X[ahead.used:], ahead.H[ahead.used:])
     r0, r1 = ahead.used, ahead.used + c
+    if scores is None:
+        # a non-finite beta is reported by the scores check
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores = ahead.H[r0:r1] @ state.beta
+        _check_finite("update_chunk", "scores", scores)
     # w' F' = r' gives w = F^-1 r in the residual's memory
     residual = Yc - scores
     w = blas.dtrsm(1.0, ahead.F[r0:r1, r0:r1], residual.T, side=1, lower=1,
@@ -279,15 +283,10 @@ def _announce(state: OselmState, X, H) -> _LookAhead:
     Folds the applied rows of the last block into M, projects P = H M with
     one product and solves the gain once: F F' = I + P H' and U = F^-1 P.
     A singular gain raises SingularMatrixError and leaves beta, M and
-    samples_seen as they were, with nothing announced. Announcing again, or
-    assigning ``state.M``, drops the rows not yet consumed.
+    samples_seen as they were, with nothing announced. Announcing again
+    drops the rows not yet consumed.
     """
     M = state._M
-    if not (M.dtype == np.float64 and M.flags.c_contiguous
-            and M.flags.writeable):
-        # BLAS writes into M.T; f2py would write through a read-only flag,
-        # and it copies any other layout. The value of M is unchanged.
-        state._M = M = np.array(M, dtype=np.float64, order="C")
     _fold(state)
     state._ahead = None
     P = H @ M

@@ -5,6 +5,7 @@ import pytest
 
 from streamlabel import (RunConfig, harness, load_dataset, save_model,
                          train_stream)
+from streamlabel import cli
 from streamlabel.cli import main
 
 from conftest import synthetic_bundle
@@ -349,3 +350,61 @@ def test_stream_runs_through_harness_names(synth_csv, monkeypatch, capsys):
     assert calls["train_stream"] == 1
     assert calls["predict_sets"] == 1
     assert calls["update_chunk"] == doc["timing"]["n_epochs"]
+
+
+@pytest.mark.parametrize("form,n_labels", [
+    ("L0,L2", 2), ("L1", 1), ("sidecar.txt", 2), ("names", 3),
+], ids=["comma-list", "one-name", "txt-path", "bare-path"])
+def test_labels_flag_forms(synth_csv, tmp_path, capsys, form, n_labels):
+    # a comma list and a single name are names; a .txt/.xml name or one
+    # with a directory in it is a sidecar file
+    if form in ("sidecar.txt", "names"):
+        sidecar = tmp_path / form
+        sidecar.write_text("\n".join(["L0", "L1", "L2"][:n_labels]) + "\n",
+                           encoding="utf-8")
+        form = str(sidecar)
+    code = main(["stats", "--data", synth_csv, "--format", "csv",
+                 "--labels", form])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_labels"] == n_labels
+    assert doc["n_features"] == 9 - n_labels
+
+
+def test_defaults_find_the_data_file_under_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["stats", "--defaults", "yeast"])
+    assert code == 2
+    assert ("error[config]: no dataset file for 'yeast' found under data"
+            in capsys.readouterr().err)
+    # the yeast profile names 14 trailing label columns
+    (tmp_path / "data").mkdir()
+    rows = ["0.5,0.25," + ",".join("1" if j == i else "0" for j in range(14))
+            for i in range(4)]
+    (tmp_path / "data" / "yeast.arff").write_text(
+        "@relation yeast\n@attribute a numeric\n@attribute b numeric\n"
+        + "".join(f"@attribute l{j} {{0,1}}\n" for j in range(14))
+        + "@data\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["stats", "--defaults", "yeast"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dataset"] == "yeast"
+    assert (doc["n_samples"], doc["n_features"], doc["n_labels"]) == (4, 2, 14)
+
+
+def test_data_flag_is_required_without_defaults(capsys):
+    code = main(["stats", "--format", "csv", "--labels", "3"])
+    assert code == 2
+    assert ("error[config]: --data is required (or --defaults NAME)"
+            in capsys.readouterr().err)
+
+
+def test_unexpected_error_exits_1(synth_csv, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "stats", boom)
+    code = main(["stats", "--data", synth_csv, "--format", "csv",
+                 "--labels", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error[unexpected]: RuntimeError: boom\n"

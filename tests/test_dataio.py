@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,93 @@ def test_arff_undeclared_nominal_value(tmp_path):
                     "@data\nz,1\n", encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="declared categories"):
         load_dataset(path, format="arff", label_spec=1)
+
+
+@pytest.mark.parametrize("header,match", [
+    ("@attribute 'my feature numeric\n",
+     "line 2: unterminated quoted name"),
+    ("@attribute lonely\n", "line 2: malformed attribute declaration"),
+    ("@attribute c {x,y\n", "line 2: unterminated nominal value list"),
+    ("", "line 2: @data before any @attribute"),
+    ("@attribute a numeric\n@atribute l {0,1}\n",
+     "line 3: unrecognized header line '@atribute l {0,1}'"),
+], ids=["quoted-name", "attribute", "nominal-list", "data-first",
+        "unknown-line"])
+def test_arff_header_errors_cite_the_line(tmp_path, header, match):
+    path = tmp_path / "h.arff"
+    path.write_text("@relation h\n" + header + "@data\n1.0,1\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(match)):
+        load_dataset(path, format="arff", label_spec=1)
+
+
+def test_arff_quoted_nominal_values(tmp_path):
+    path = tmp_path / "q.arff"
+    path.write_text("@relation q\n"
+                    "@attribute shade {'light blue', \"dark red\", green}\n"
+                    "@attribute l {0,1}\n"
+                    "@data\n"
+                    "'dark red',1\n"
+                    "green,0\n"
+                    "'light blue',1\n", encoding="utf-8")
+    bundle = load_dataset(path, format="arff", label_spec=1)
+    assert bundle.X[:, 0].tolist() == [1.0, 2.0, 0.0]
+
+
+def test_true_and_false_cells_read_as_one_and_zero(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("a,b,l1,l2\n"
+                    "true,0.5,False,TRUE\n"
+                    "FALSE,True,true,false\n", encoding="utf-8")
+    bundle = load_dataset(path, format="csv", label_spec=2)
+    assert bundle.X.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    assert bundle.labelsets == (frozenset({1}), frozenset({0}))
+
+
+@pytest.mark.parametrize("row,match", [
+    ("nan,1", "data row 1, column 1: non-finite feature value"),
+    ("1e400,1", "data row 1, column 1: non-finite feature value"),
+    ("1.0,yes", "data row 1, column 2: label value 'yes' is not 0/1"),
+], ids=["nan", "overflow", "label-token"])
+def test_bad_cells_cite_their_position(tmp_path, row, match):
+    path = tmp_path / "c.csv"
+    path.write_text("a,l1\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(match)):
+        load_dataset(path, format="csv", label_spec=1)
+
+
+@pytest.mark.parametrize("name,text,fmt,match", [
+    ("h.csv", "a,l1\n", "csv",
+     "need a header row and at least one data row"),
+    ("e.arff", "@relation e\n@attribute a numeric\n@attribute l {0,1}\n"
+               "@data\n% nothing follows\n", "arff", "no data rows"),
+], ids=["csv-header-only", "arff-no-rows"])
+def test_a_file_without_rows_is_rejected(tmp_path, name, text, fmt, match):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=match):
+        load_dataset(path, format=fmt, label_spec=1)
+
+
+@pytest.mark.parametrize("spec,sidecar,match", [
+    (["width", "height", "color", "is_big", "is_red"], None,
+     "label_spec leaves no feature columns"),
+    (True, None, "label_spec must be an int, name list, or path"),
+    ([], None, "label_spec name list is empty"),
+    ("labels.xml", "<labels><label name='is_big'></labels>",
+     "labels.xml: invalid XML"),
+    ("labels.xml", "<labels><column name='is_big'/><label/></labels>",
+     r"labels.xml: no <label name=\.\.\.> entries found"),
+    ("labels.txt", "# only\n\n# comments\n",
+     "labels.txt: no label names found"),
+], ids=["no-features", "bool", "empty-list", "xml-invalid", "xml-no-labels",
+        "txt-comments-only"])
+def test_label_spec_errors(tiny_arff, tmp_path, spec, sidecar, match):
+    if sidecar is not None:
+        (tmp_path / spec).write_text(sidecar, encoding="utf-8")
+        spec = str(tmp_path / spec)
+    with pytest.raises(DatasetFormatError, match=match):
+        load_dataset(tiny_arff, format="arff", label_spec=spec)
 
 
 def test_label_spec_name_list_follows_file_order(tiny_arff):

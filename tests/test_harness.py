@@ -339,6 +339,11 @@ def test_model_rejects_non_model_json(tmp_path):
         load_model(path)
 
 
+def test_model_missing_file_is_a_model_error(tmp_path):
+    with pytest.raises(ModelFormatError, match="^cannot read model file "):
+        load_model(tmp_path / "absent.json")
+
+
 def _set_array(name, a):
     def edit(doc):
         doc["arrays"][name] = harness._encode_array(a)

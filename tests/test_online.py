@@ -276,6 +276,7 @@ def test_init_phase_ridge_matches_batch():
 
 @pytest.mark.parametrize("name,row", [("Xc", 3), ("Yc", 0), ("Yc", 4)])
 def test_non_finite_chunk_leaves_state_untouched(name, row):
+    # unannounced rows are announced by look_ahead, whose message names them X
     p = init_params(8, 10, seed=32)
     X, Y = _stream(33, n=60)
     st = init_phase(p, X[:50], Y[:50])
@@ -286,7 +287,8 @@ def test_non_finite_chunk_leaves_state_untouched(name, row):
         Yc[row, 1] = np.inf
     M = st.M
     beta, M_copy = st.beta.copy(), st.M.copy()
-    with pytest.raises(ValueError, match=f"{name} row {row} is not finite"):
+    match = ("^look_ahead: X" if name == "Xc" else "^update_chunk: Yc")
+    with pytest.raises(ValueError, match=f"{match} row {row} is not finite"):
         update_chunk(st, p, Xc, Yc)
     assert st.M is M
     assert np.array_equal(st.M, M_copy)
@@ -360,10 +362,6 @@ def test_m_is_mirrored_once_per_fold(monkeypatch):
         update_chunk(st, p, X[start:start + 10], Y[start:start + 10])
     assert len(calls) == 4 and all(A is M for A in calls)
     assert np.array_equal(st.M, M.T) and len(calls) == 5
-    snapshot = M.copy()
-    update_chunk(st, p, X[:10], Y[:10])
-    st.M = snapshot  # assigning drops the pending rows: nothing is folded
-    assert st.M is snapshot and len(calls) == 5
 
 
 @pytest.mark.parametrize("which", ["M", "beta"])
@@ -372,7 +370,13 @@ def test_update_chunk_rejects_a_state_of_another_width(which):
     X, Y = _stream(45, n=60)
     st = init_phase(p, X[:50], Y[:50])
     if which == "M":
-        st.M = np.eye(11)
+        # M enters only through the constructor, which holds it to beta
+        with pytest.raises(ValueError, match=r"^OselmState: M is "
+                           r"\(11, 11\), not \(10, 10\)$"):
+            OselmState(beta=st.beta, M=np.eye(11), samples_seen=50,
+                       ridge_used=0.0)
+        st = OselmState(beta=np.zeros((11, 5)), M=np.eye(11),
+                        samples_seen=50, ridge_used=0.0)
     else:
         st.beta = np.zeros((11, 5))
     with pytest.raises(ValueError, match=r"^state shapes M \(\d+, \d+\), "
@@ -381,8 +385,48 @@ def test_update_chunk_rejects_a_state_of_another_width(which):
     assert st.samples_seen == 50
 
 
+@pytest.mark.parametrize("bad,match", [
+    ("asymmetric", "^OselmState: M is not exactly symmetric$"),
+    ("non-square", r"^OselmState: M is \(150, 149\), not \(150, 150\)$"),
+    ("wrong-L", r"^OselmState: M is \(149, 149\), not \(150, 150\)$"),
+    ("nan", "^OselmState: M has a NaN or infinite entry$"),
+    ("inf", "^OselmState: M has a NaN or infinite entry$"),
+], ids=["asymmetric", "non-square", "wrong-L", "nan", "inf"])
+def test_state_rejects_an_m_it_cannot_use_as_given(bad, match):
+    # the defects sit in the last 64-row block of M, past the first ones
+    # the check reads; an asymmetric M would otherwise train, the first fold
+    # keeping only its lower triangle, and a non-square one fail at the
+    # first update
+    p = init_params(8, 150, seed=46)
+    X, Y = _stream(47, n=300)
+    st = init_phase(p, X, Y)
+    M = st.M.copy()
+    if bad == "asymmetric":
+        M[70, 149] = np.nextafter(M[70, 149], np.inf)
+    elif bad == "non-square":
+        M = M[:, :149]
+    elif bad == "wrong-L":
+        M = M[:149, :149]
+    else:
+        M[149, 149] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(ValueError, match=match):
+        OselmState(beta=st.beta, M=M, samples_seen=300, ridge_used=0.0)
+
+
+def test_state_takes_m_once():
+    p = init_params(8, 10, seed=48)
+    X, Y = _stream(49, n=50)
+    st = init_phase(p, X, Y)
+    M = st.M.copy()
+    given = OselmState(beta=st.beta, M=M, samples_seen=50, ridge_used=0.0)
+    assert given.M is M  # already C-ordered, writable float64: not copied
+    with pytest.raises(AttributeError):
+        given.M = np.eye(10)
+    assert given.M is M
+
+
 @pytest.mark.parametrize("where,match", [
-    ("M", "look_ahead: matrix has a NaN or infinite entry"),
+    ("M", "^look_ahead: matrix has a NaN or infinite entry$"),
     ("beta", "update_chunk: scores row 0 is not finite"),
     ("beta-inf", "update_chunk: scores row 0 is not finite"),
 ], ids=["M", "beta", "beta-inf"])
@@ -394,7 +438,11 @@ def test_non_finite_state_raises_and_leaves_state_untouched(where, match):
     if where == "M":
         M = st.M.copy()
         M[3, 3] = np.nan
-        st.M = M
+        with pytest.raises(ValueError, match="^OselmState: M has a NaN or "
+                                             "infinite entry$"):
+            OselmState(beta=st.beta, M=M, samples_seen=50, ridge_used=0.0)
+        # written into the state's own M, the NaN reaches the gain
+        st.M[3, 3] = np.nan
     elif where == "beta":
         st.beta[4, 1] = np.nan
     else:
@@ -515,25 +563,6 @@ def test_uneven_chunks_in_one_block_match_the_per_chunk_loop(monkeypatch):
     assert b.samples_seen == a.samples_seen == 80
 
 
-def test_assigning_m_mid_block_drops_the_pending_rows():
-    p, X, Y, a, b, starts = _announced(56)
-    snapshot = a.M.copy()
-    look_ahead(b, p, X[60:80])
-    for s in (60, 65):
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
-    given = snapshot.copy()
-    b.M = given
-    assert b.M is given
-    assert np.array_equal(b.M, snapshot)
-    # the rest of the block no longer takes its rows from the old projection
-    a.beta = b.beta.copy()
-    for s in (70, 75):
-        update_chunk(a, p, X[s:s + 5], Y[s:s + 5])
-        update_chunk(b, p, X[s:s + 5], Y[s:s + 5])
-    assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.M, b.M)
-
-
 def test_failed_update_mid_block_leaves_state_untouched():
     p, X, Y, a, b, starts = _announced(58)
     for st in (a, b):
@@ -541,8 +570,15 @@ def test_failed_update_mid_block_leaves_state_untouched():
         update_chunk(st, p, X[60:65], Y[60:65])
     Xc = X[65:70].copy()
     Xc[2, 1] = np.nan
-    with pytest.raises(ValueError, match="Xc row 2 is not finite"):
+    with pytest.raises(ValueError, match="^look_ahead: X row 2 is not finite"):
         update_chunk(b, p, Xc, Y[65:70])
+    # the targets and passed scores of rows not announced are checked before
+    # the rows are announced, so their errors drop nothing either
+    with pytest.raises(ValueError, match="^chunk target shape"):
+        update_chunk(b, p, X[65:70] + 1.0, Y[65:69])
+    with pytest.raises(ValueError, match="^update_chunk: scores row 0"):
+        update_chunk(b, p, X[65:70] + 1.0, Y[65:70],
+                     scores=np.full((5, 5), np.nan))
     # the rest of the block still comes from the look-ahead, in step with a
     for s in (65, 70):
         for st in (a, b):
@@ -592,7 +628,8 @@ def test_look_ahead_checks_the_row_width():
     with pytest.raises(ValueError, match="X has 9 columns, hidden layer "
                                          "expects 8"):
         look_ahead(st, p, np.ones((4, 9)))
-    st.M = np.eye(11)
+    st = OselmState(beta=np.zeros((11, 5)), M=np.eye(11), samples_seen=50,
+                    ridge_used=0.0)
     with pytest.raises(ValueError, match=r"^state shapes M \(11, 11\)"):
         look_ahead(st, p, X[50:54])
     assert st._ahead is None
