@@ -12,6 +12,7 @@ become integer codes in declaration order. Label columns must hold 0/1.
 
 import csv
 import numbers
+import re
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,10 +52,20 @@ class NormStats:
     max_: np.ndarray
 
 
-def _strip_quotes(token: str) -> str:
-    if len(token) >= 2 and token[0] == token[-1] and token[0] in "'\"":
-        return token[1:-1]
-    return token
+# a field and its comma: empty, quoted (it may hold commas) or bare, with no
+# quote first and no space at either end; one way to match keeps it linear
+_FIELD = r"""\s*(?:('[^']*'|"[^"]*"|[^,'"\s](?:[^,]*[^,\s])?)\s*)?,"""
+_FIELDS = re.compile(f"(?:{_FIELD})*")
+
+
+def _split_fields(text: str, where: str) -> list:
+    """The comma-separated fields of text, stripped and unquoted."""
+    if "'" not in text and '"' not in text:
+        return [t.strip() for t in text.split(",")]
+    if not _FIELDS.fullmatch(text + ","):
+        raise DatasetFormatError(f"{where}: malformed quoted field")
+    return [field[1:-1] if field[:1] in ("'", '"') else field
+            for field in re.findall(_FIELD, text + ",")]
 
 
 def _read_sidecar_labels(path: str) -> list:
@@ -157,13 +168,11 @@ def _load_arff(path: str):
             if lowered.startswith("@attribute"):
                 rest = line[len("@attribute"):].strip()
                 if rest.startswith(("'", '"')):
-                    quote = rest[0]
-                    end = rest.find(quote, 1)
+                    end = rest.find(rest[0], 1)
                     if end < 0:
                         raise DatasetFormatError(
                             f"{path}: line {lineno}: unterminated quoted name")
-                    name = rest[1:end]
-                    type_spec = rest[end + 1:].strip()
+                    name, type_spec = rest[1:end], rest[end + 1:].strip()
                 else:
                     parts = rest.split(None, 1)
                     if len(parts) != 2:
@@ -176,17 +185,15 @@ def _load_arff(path: str):
                         raise DatasetFormatError(
                             f"{path}: line {lineno}: unterminated nominal "
                             "value list")
-                    values = [_strip_quotes(v.strip())
-                              for v in type_spec[1:-1].split(",")]
-                    names.append(name)
-                    kinds.append(values)
+                    kinds.append(_split_fields(type_spec[1:-1],
+                                               f"{path}: line {lineno}"))
                 elif type_spec.lower() in ("numeric", "real", "integer"):
-                    names.append(name)
                     kinds.append("numeric")
                 else:
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: unsupported attribute type "
                         f"{type_spec!r}")
+                names.append(name)
                 continue
             if lowered.startswith("@data"):
                 if not names:
@@ -200,11 +207,11 @@ def _load_arff(path: str):
             if line.startswith("{"):
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: sparse data rows are not supported")
-            tokens = [t.strip() for t in line.split(",")]
+            where = f"{path}: line {lineno} (data row {len(rows) + 1})"
+            tokens = _split_fields(line, where)
             if len(tokens) != len(names):
                 raise DatasetFormatError(
-                    f"{path}: line {lineno} (data row {len(rows) + 1}): "
-                    f"expected {len(names)} fields, got {len(tokens)}")
+                    f"{where}: expected {len(names)} fields, got {len(tokens)}")
             rows.append(tokens)
     if not in_data:
         raise DatasetFormatError(f"{path}: no @data section")
@@ -264,12 +271,11 @@ def load_dataset(path, format: str = "arff", label_spec=None,
             if kind == "numeric":
                 X[r, k] = _parse_numeric(token, path, r + 1, c + 1)
             else:
-                cleaned = _strip_quotes(token)
-                if cleaned not in kind:
+                if token not in kind:
                     raise DatasetFormatError(
                         f"{path}: data row {r + 1}, column {c + 1}: "
                         f"value {token!r} not among declared categories")
-                X[r, k] = kind.index(cleaned)
+                X[r, k] = kind.index(token)
         members = set()
         for j, c in enumerate(label_cols):
             if _parse_label(tokens[c], path, r + 1, c + 1):

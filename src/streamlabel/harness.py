@@ -9,9 +9,9 @@ normalized as they are mapped, one block at a time, so a run holds its data,
 M and a few blocks of derived rows, never a normalized copy of a split or
 an (n, n_hidden) hidden matrix; only the initial block is normalized whole.
 Training time covers normalizing and solving the initial block, the
-sequential phase and threshold selection; test time covers normalizing,
-raw prediction and decoding. Data loading and fitting the normalization
-(each feature's min and max) are excluded from both.
+sequential phase and threshold selection; test time covers the finite-row
+check, normalizing, raw prediction and decoding. Data loading and fitting
+the normalization (each feature's min and max) are excluded from both.
 """
 
 import base64
@@ -32,7 +32,7 @@ from .elm import _MAP_ROWS, ElmParams, init_params, predict_raw
 from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
 from .metrics import MetricsReport, evaluate
-from .numerics import GENERATOR_TAG, make_rng
+from .numerics import GENERATOR_TAG, _check_finite, make_rng
 from .online import OselmState, init_phase, look_ahead, update_chunk
 
 REPORT_SCHEMA_VERSION = 1
@@ -281,8 +281,10 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
         # block by block, which equals one calibrate_chunk over all rows
         # (the extrema fold row by row)
         post = ThresholdCalib()
-        for start, raw in _raw_blocks(params, state.beta, norm_stats, train.X):
-            calibrate_chunk(post, raw, truth[start:start + len(raw)])
+        for start in range(0, n_train, _MAP_ROWS):
+            rows = _normalized(norm_stats, train.X[start:start + _MAP_ROWS])
+            calibrate_chunk(post, predict_raw(params, state.beta, rows),
+                            truth[start:start + _MAP_ROWS])
         threshold = threshold_value(post)
     threshold_s = time.perf_counter() - t0
 
@@ -295,28 +297,22 @@ def _normalized(norm_stats: NormStats | None, X) -> np.ndarray:
     return X if norm_stats is None else _normalize_rows(norm_stats, X)
 
 
-def _raw_blocks(params: ElmParams, beta, norm_stats: NormStats | None, X):
-    """Yield (first row, raw scores) per block of _MAP_ROWS rows of X.
-
-    Each block is normalized as it is mapped. An X with no rows is one empty
-    block, so its shapes are still checked.
-    """
-    for start in range(0, max(len(X), 1), _MAP_ROWS):
-        rows = _normalized(norm_stats, X[start:start + _MAP_ROWS])
-        yield start, predict_raw(params, beta, rows)
-
-
 def predict_sets(params: ElmParams, beta, threshold: float,
                  norm_stats: NormStats | None, bundle: DatasetBundle,
                  min_one: bool = False):
     """Decode one label set per bundle row; returns (label sets, seconds).
 
-    Rows are normalized, mapped and decoded one block at a time, and the
-    seconds cover all three.
+    Rows are checked finite, normalized, mapped and decoded one block of
+    _MAP_ROWS at a time, and the seconds cover all four. A NaN or inf
+    feature raises ValueError naming its bundle row. A bundle with no rows
+    is one empty block, so its shapes are still checked.
     """
     t0 = time.perf_counter()
     preds = []
-    for _, raw in _raw_blocks(params, beta, norm_stats, bundle.X):
+    for start in range(0, max(len(bundle.X), 1), _MAP_ROWS):
+        rows = bundle.X[start:start + _MAP_ROWS]
+        _check_finite("predict_sets", "X", rows, start)
+        raw = predict_raw(params, beta, _normalized(norm_stats, rows))
         preds += decode_rows(raw, threshold, min_one)
     elapsed = time.perf_counter() - t0
     return preds, elapsed

@@ -10,6 +10,7 @@ decode_rows turns a score matrix back into label sets. A single sample is a
 one-row matrix: label_matrix([s], m), decode_rows(y[None], t)[0].
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -40,29 +41,33 @@ class DatasetStats:
     n_labels: int
 
 
+def _label_indices(labelsets, m: int) -> list:
+    """The sets' indices in order, as ints. The one rule for a label index:
+    an int or an __index__ type (numpy integers), not a bool, in [0, m). The
+    first index that breaks it raises ValueError naming its type or value."""
+    out = []
+    for i in chain.from_iterable(labelsets):
+        if type(i) is not int:  # bool and numpy integers come here
+            if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+                raise ValueError("label indices must be integers, "
+                                 f"got {type(i).__name__}")
+            i = operator.index(i)
+        if not 0 <= i < m:
+            raise ValueError(f"label index {i} outside label space of size {m}")
+        out.append(i)
+    return out
+
+
 def label_matrix(labelsets, m: int) -> np.ndarray:
     """(n, m) bool membership matrix: row j is True at the members of set j.
 
     Each set is a sized collection of label indices; every index must lie in
     [0, m). All indices are validated and scattered in one flat pass.
     """
-    if not isinstance(labelsets, (list, tuple)):
-        labelsets = list(labelsets)
+    labelsets = list(labelsets)
     n = len(labelsets)
     sizes = np.fromiter(map(len, labelsets), dtype=np.intp, count=n)
-    flat = list(chain.from_iterable(labelsets))
-    # np.array([True, 2]) is an integer array, so bools are found by type
-    kinds = set(map(type, flat))
-    if bool in kinds or np.bool_ in kinds:
-        raise ValueError("label indices must be integers, got bool")
-    cols = np.array(flat)
-    if cols.size and cols.dtype.kind not in "iu":
-        raise ValueError(f"label indices must be integers, got {cols.dtype}")
-    cols = cols.astype(np.int64, copy=False)
-    bad = (cols < 0) | (cols >= m)
-    if bad.any():
-        raise ValueError(f"label index {cols[np.argmax(bad)]} outside label "
-                         f"space of size {m}")
+    cols = np.array(_label_indices(labelsets, m), dtype=np.intp)
     Y = np.zeros((n, m), dtype=bool)
     Y.reshape(-1)[np.repeat(np.arange(n) * m, sizes) + cols] = True
     return Y
@@ -110,30 +115,24 @@ def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
     """One label set {i : y_raw[j, i] > threshold} per row j of a score matrix.
 
     Ties predict negative. With min_one set, an empty row falls back to its
-    argmax position (lowest index on ties) so every sample gets at least
-    one label.
-
-    The hits are read in one flat pass: the flat indices of the (n, m) hit
-    mask, in row-major order, give each member's column (index mod m), and
-    one binary search for the row boundaries j*m gives where each row's
-    members end. Each set is then one slice of that column list. The sets
-    are the ones a per-row scan returns, element for element.
+    argmax position (lowest index on ties, its first NaN if it has one) so
+    every sample gets at least one label. The hit mask is scanned once: its
+    flat indices, row-major, give each member's column (index mod m), and
+    a binary search for the row boundaries j*m cuts them into rows.
     """
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 2:
         raise ValueError(f"y_raw must be a matrix, got ndim={y_raw.ndim}")
     n, m = y_raw.shape
-    if not m:
-        return [set() for _ in range(n)]
-    hits = y_raw > threshold
-    if min_one:
-        empty = np.flatnonzero(~hits.any(axis=1))
-        if empty.size:
-            hits[empty, y_raw.argmax(axis=1)[empty]] = True
-    flat = np.flatnonzero(hits)
+    flat = np.flatnonzero(y_raw > threshold)
     cols = (flat % m).tolist()
-    ends = flat.searchsorted(np.arange(m, (n + 1) * m, m)).tolist()
-    return [set(cols[start:end]) for start, end in zip([0] + ends, ends)]
+    ends = flat.searchsorted(np.arange(1, n + 1) * m).tolist()
+    sets = [set(cols[start:end]) for start, end in zip([0] + ends, ends)]
+    if min_one and m and not all(sets):
+        for members, col in zip(sets, y_raw.argmax(axis=1).tolist()):
+            if not members:
+                members.add(col)
+    return sets
 
 
 def dataset_stats(labelsets, m: int) -> DatasetStats:
@@ -143,7 +142,8 @@ def dataset_stats(labelsets, m: int) -> DatasetStats:
         raise ValueError("dataset_stats: empty label-set sequence")
     if m < 1:
         raise ValueError(f"label space must have m >= 1, got {m}")
-    cardinality = int(label_matrix(labelsets, m).sum()) / len(labelsets)
+    _label_indices(labelsets, m)
+    cardinality = sum(len(set(s)) for s in labelsets) / len(labelsets)
     return DatasetStats(label_cardinality=cardinality,
                         label_density=cardinality / m,
                         n_samples=len(labelsets), n_labels=m)

@@ -10,8 +10,10 @@ Precision divides the overlap by the predicted-set size, recall by the
 true-set size; F1 is their per-sample harmonic mean, 2|inter|/(|pred|+|truth|).
 """
 
-import operator
 from dataclasses import dataclass
+from itertools import chain
+
+from .labels import _label_indices
 
 
 @dataclass(frozen=True)
@@ -61,23 +63,12 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
         raise ValueError(f"label space must have m >= 1, got {m}")
 
     n = len(preds)
+    preds = [p if isinstance(p, (set, frozenset)) else set(p) for p in preds]
+    truths = [t if isinstance(t, (set, frozenset)) else set(t) for t in truths]
+    # each set on its own, p0, t0, p1, ...: {1} | {True} drops the True
+    _label_indices(chain.from_iterable(zip(preds, truths)), m)
     hl = acc = prec = rec = f1 = 0.0
     for p, t in zip(preds, truths):
-        if not isinstance(p, (set, frozenset)):
-            p = set(p)
-        if not isinstance(t, (set, frozenset)):
-            t = set(t)
-        # each set on its own: the union {1} | {True} drops the True
-        for labels in (p, t):
-            for i in labels:
-                if type(i) is not int:  # bool and numpy integers come here
-                    if isinstance(i, bool) or not hasattr(i, "__index__"):
-                        raise ValueError("label indices must be integers, "
-                                         f"got {type(i).__name__}")
-                    i = operator.index(i)
-                if not 0 <= i < m:
-                    raise ValueError(
-                        f"label index {i} outside label space of size {m}")
         inter = len(p & t)
         n_p = len(p)
         n_t = len(t)

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: checked Cholesky factor, seeded RNG.
+"""Dense matrix primitives: checked Cholesky factor, finite rows, seeded RNG.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
 All solves and inverses go through one checked Cholesky factorization;
@@ -39,6 +39,14 @@ def make_rng(seed: int) -> np.random.Generator:
     produce identical draw sequences on every platform.
     """
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _check_finite(who: str, name: str, A, first: int = 0) -> None:
+    """ValueError naming A's first row with a NaN or inf, counted from first."""
+    finite = np.isfinite(A)
+    if not finite.all():
+        row = first + int(np.argmin(finite.all(axis=1)))
+        raise ValueError(f"{who}: {name} row {row} is not finite")
 
 
 def mirror_lower(A) -> None:

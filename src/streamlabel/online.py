@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .elm import ElmParams, _as_rows, _normal_equations, hidden_map
-from .numerics import (_MIRROR_BLOCK, SingularMatrixError, cholesky_spd,
-                       mirror_lower)
+from .numerics import (_MIRROR_BLOCK, SingularMatrixError, _check_finite,
+                       cholesky_spd, mirror_lower)
 
 
 # The guard: the block's factor solves row i of U as its projection less the
@@ -157,14 +157,6 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     beta = M @ HY
     return OselmState(beta=beta, M=M, samples_seen=len(X0),
                       ridge_used=float(ridge))
-
-
-def _check_finite(who: str, name: str, A) -> None:
-    finite_rows = np.isfinite(A).all(axis=1)
-    if not finite_rows.all():
-        raise ValueError(
-            f"{who}: {name} row {int(np.argmin(finite_rows))} is not "
-            "finite; the state was left unchanged")
 
 
 def _check_state(state: OselmState, L: int) -> None:

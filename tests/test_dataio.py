@@ -129,11 +129,12 @@ def test_arff_undeclared_nominal_value(tmp_path):
      "line 2: unterminated quoted name"),
     ("@attribute lonely\n", "line 2: malformed attribute declaration"),
     ("@attribute c {x,y\n", "line 2: unterminated nominal value list"),
+    ("@attribute c {'x,y}\n", "line 2: malformed quoted field"),
     ("", "line 2: @data before any @attribute"),
     ("@attribute a numeric\n@atribute l {0,1}\n",
      "line 3: unrecognized header line '@atribute l {0,1}'"),
-], ids=["quoted-name", "attribute", "nominal-list", "data-first",
-        "unknown-line"])
+], ids=["quoted-name", "attribute", "nominal-list", "nominal-quote",
+        "data-first", "unknown-line"])
 def test_arff_header_errors_cite_the_line(tmp_path, header, match):
     path = tmp_path / "h.arff"
     path.write_text("@relation h\n" + header + "@data\n1.0,1\n",
@@ -153,6 +154,34 @@ def test_arff_quoted_nominal_values(tmp_path):
                     "'light blue',1\n", encoding="utf-8")
     bundle = load_dataset(path, format="arff", label_spec=1)
     assert bundle.X[:, 0].tolist() == [1.0, 2.0, 0.0]
+
+
+def test_arff_quoted_values_may_hold_commas(tmp_path):
+    path = tmp_path / "c.arff"
+    path.write_text("@relation c\n"
+                    "@attribute w numeric\n"
+                    "@attribute color {'light, blue',red, \"dark, red\"}\n"
+                    "@attribute l {0,1}\n"
+                    "@data\n"
+                    "0.5,'light, blue',1\n"
+                    "0.25, \"dark, red\" ,0\n"
+                    "1,red,'1'\n", encoding="utf-8")
+    bundle = load_dataset(path, format="arff", label_spec=1)
+    assert bundle.X.tolist() == [[0.5, 0.0], [0.25, 2.0], [1.0, 1.0]]
+    assert bundle.labelsets == (frozenset({0}), frozenset(), frozenset({0}))
+
+
+@pytest.mark.parametrize("row", ["'x,1", "'x' y,1", "x , " * 40 + "'x"],
+                         ids=["unterminated", "text-after-quote",
+                              "many-fields"])
+def test_arff_malformed_quoted_cells_cite_the_line(tmp_path, row):
+    path = tmp_path / "m.arff"
+    path.write_text("@relation m\n@attribute c {x,y}\n@attribute l {0,1}\n"
+                    "@data\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape("line 5 (data row 1): malformed "
+                                       "quoted field")):
+        load_dataset(path, format="arff", label_spec=1)
 
 
 def test_true_and_false_cells_read_as_one_and_zero(tmp_path):

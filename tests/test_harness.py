@@ -796,6 +796,24 @@ def test_train_and_predict_memory_grows_only_by_outputs():
     assert peaks[1] - peaks[0] <= 2 * 3000 * per_row
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_predict_sets_rejects_a_non_finite_row_by_its_bundle_row(value):
+    # a NaN row scored NaN and decoded, under min_one, as {0}; an inf fed
+    # the sigmoid a saturated unit; row 300 lies in the second block of 256
+    train = synthetic_bundle(120, 6, 3, seed=50)
+    model = train_stream(_config(n_hidden=8, n_init=30), train)
+    test = synthetic_bundle(400, 6, 3, seed=51)
+    X = test.X.copy()
+    X[300, 2] = value
+    bad = dataclasses.replace(test, X=X)
+    for norm_stats in (model.norm_stats, None):
+        with pytest.raises(ValueError,
+                           match="^predict_sets: X row 300 is not finite$"):
+            predict_sets(model.params, model.state.beta, model.threshold,
+                         norm_stats, bad, min_one=True)
+
+
 def test_reloaded_model_predict_sets_match_one_decode(tmp_path):
     # a corel5k-shaped model (499 features, 374 labels, 300 hidden units)
     # saved and loaded back; 256 and 257 rows sit on and just past the

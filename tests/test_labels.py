@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -273,8 +274,11 @@ def test_calibrate_chunk_validates_shapes():
 def _decode_oracle(y, threshold, min_one):
     members = {i for i, v in enumerate(y) if v > threshold}
     if min_one and not members and len(y):
+        # the argmax: a row's first NaN if it has one, else its lowest top
+        nan = [i for i, v in enumerate(y) if v != v]
         top = max(y)
-        members = {min(i for i, v in enumerate(y) if v == top)}
+        members = {nan[0] if nan else min(i for i, v in enumerate(y)
+                                           if v == top)}
     return members
 
 
@@ -326,3 +330,79 @@ def test_decode_rows_wide_sparse_matches_per_row_oracle(min_one):
         assert got[10] == got[22] == {0}
         assert got[23] == {5}
     assert sum(map(len, got)) > 300     # the sparse rows do hit
+
+
+@pytest.mark.parametrize("min_one", [False, True])
+def test_decode_rows_with_non_finite_scores_matches_per_row_oracle(min_one):
+    # random shapes down to one label; scores on a half grid, so many equal
+    # the threshold; NaN and +/-inf cells, and whole rows below the
+    # threshold, so min_one's argmax meets NaN rows
+    rng = np.random.default_rng(31)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    for trial in range(200):
+        n, m = rng.integers(0, 12), rng.integers(1, 9)
+        if trial % 10 == 0:
+            m = 1
+        y = rng.integers(-3, 4, size=(n, m)) / 2.0
+        odd = rng.random((n, m)) < 0.1
+        y[odd] = rng.choice(specials, size=int(odd.sum()))
+        y[rng.random(n) < 0.3] = -5.0
+        threshold = rng.integers(-2, 3) / 2.0
+        want = [_decode_oracle(row, threshold, min_one) for row in y.tolist()]
+        assert decode_rows(y, threshold, min_one) == want, (trial, y)
+    # rows of only NaN, and a row with a hit after a NaN
+    y = np.array([[np.nan, np.nan, 1.0], [np.nan, np.nan, np.nan],
+                  [-1.0, np.nan, np.nan]])
+    want = [_decode_oracle(row, 0.0, min_one) for row in y.tolist()]
+    assert decode_rows(y, 0.0, min_one) == want
+    assert want[1:] == ([{0}, {1}] if min_one else [set(), set()])
+
+
+_BAD_INDEX = [
+    (np.True_, "label indices must be integers, got bool"),
+    (1.0, "label indices must be integers, got float"),
+    ("a", "label indices must be integers, got str"),
+    (None, "label indices must be integers, got NoneType"),
+    (2 ** 70, "label index 1180591620717411303424 outside label space of "
+              "size 3"),
+    (-1, "label index -1 outside label space of size 3"),
+    (3, "label index 3 outside label space of size 3"),
+]
+
+# Each caller takes the sets in one flat order: evaluate reads its
+# predictions and truths as p0, t0, p1, t1, ...
+_CALLERS = {
+    "label_matrix": lambda sets: label_matrix(sets, 3),
+    "evaluate": lambda sets: evaluate(sets[0::2], sets[1::2], 3),
+    "dataset_stats": lambda sets: dataset_stats(sets, 3),
+}
+
+
+@pytest.mark.parametrize("caller", _CALLERS)
+@pytest.mark.parametrize("bad,message", _BAD_INDEX,
+                         ids=["numpy-bool", "float", "str", "none", "2**70",
+                              "negative", "m"])
+def test_one_label_index_rule_for_every_caller(caller, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _CALLERS[caller]([{0}, {2, bad}])
+
+
+@pytest.mark.parametrize("caller", _CALLERS)
+@pytest.mark.parametrize("good", [np.int64(1), np.uint8(1)],
+                         ids=["int64", "uint8"])
+def test_numpy_integer_label_indices_count_as_ints(caller, good):
+    want = _CALLERS[caller]([{0}, {1, 2}])
+    got = _CALLERS[caller]([{0}, {good, 2}])
+    assert np.array_equal(got, want) if caller == "label_matrix" \
+        else got == want
+
+
+@pytest.mark.parametrize("caller", _CALLERS)
+def test_the_first_bad_label_index_is_named(caller):
+    with pytest.raises(ValueError, match="^label index 7 outside"):
+        _CALLERS[caller]([{7}, {"a"}])
+    with pytest.raises(ValueError, match="got str$"):
+        _CALLERS[caller]([{"a"}, {7}])
+    # p1 is read after t0
+    with pytest.raises(ValueError, match="got NoneType$"):
+        _CALLERS[caller]([{0}, {1}, {None}, {-1}])
