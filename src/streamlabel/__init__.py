@@ -19,7 +19,7 @@ from .labels import (DatasetStats, ThresholdCalib, calibrate_chunk,
                      dataset_stats, decode_rows, label_matrix,
                      threshold_value)
 from .metrics import MetricsReport, evaluate
-from .numerics import GENERATOR_TAG, SingularMatrixError, cholesky_spd, make_rng
+from .numerics import GENERATOR_TAG, SingularMatrixError, make_rng
 from .online import OselmState, init_phase, look_ahead, update_chunk
 
 __version__ = "0.1.0"
@@ -29,11 +29,11 @@ __all__ = [
     "DatasetStats", "ElmParams", "GENERATOR_TAG", "LoadedModel",
     "MetricsReport", "ModelFormatError", "NormStats", "OselmState",
     "RunConfig", "RunReport", "SingularMatrixError", "ThresholdCalib",
-    "TrainedModel", "batch_train", "calibrate_chunk", "cholesky_spd",
-    "cv_folds", "dataset_stats", "decode_rows", "emit_report", "evaluate",
-    "hidden_map", "init_params", "init_phase", "label_matrix",
-    "load_dataset", "load_dataset_defaults", "load_model", "look_ahead",
-    "make_rng", "normalize_fit", "predict_raw", "predict_sets",
-    "run_cv_bundle", "run_stream_split", "save_model", "split", "take_rows",
-    "threshold_value", "train_stream", "update_chunk",
+    "TrainedModel", "batch_train", "calibrate_chunk", "cv_folds",
+    "dataset_stats", "decode_rows", "emit_report", "evaluate", "hidden_map",
+    "init_params", "init_phase", "label_matrix", "load_dataset",
+    "load_dataset_defaults", "load_model", "look_ahead", "make_rng",
+    "normalize_fit", "predict_raw", "predict_sets", "run_cv_bundle",
+    "run_stream_split", "save_model", "split", "take_rows", "threshold_value",
+    "train_stream", "update_chunk",
 ]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .numerics import SingularMatrixError, cholesky_spd, make_rng, mirror_lower
+from .numerics import _check_finite, _cholesky, make_rng, mirror_lower
 
 # most rows mapped to hidden features at once: every path that maps many rows
 # works one block at a time, so no (n, n_hidden) array is made
@@ -79,14 +79,15 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
     return np.reciprocal(H, out=H)
 
 
-def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str):
+def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str,
+                      singular: str):
     """Checked lower Cholesky factor of H'H + ridge*I, and H'Y, for X's rows H.
 
     Both least-squares solves, batch_train and online.init_phase, take their
-    factor here. Each block of at most _MAP_ROWS rows is added to the Gram
-    matrix with one dsyrk and to H'Y with one product, so no (n, n_hidden)
-    array is made, and the Gram matrix is factored in its own memory. The
-    factor is F-ordered; ``who`` prefixes cholesky_spd's errors.
+    factor here. Each block of at most _MAP_ROWS rows of X and Y is checked
+    finite and added to the Gram matrix with one dsyrk and to H'Y with one
+    product, so no (n, n_hidden) array is made. The Gram matrix is factored,
+    F-ordered, in its own memory by numerics._cholesky(who, singular).
     """
     if not 0.0 <= ridge < np.inf:  # also false for NaN
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
@@ -99,16 +100,19 @@ def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str):
     gram = np.zeros((L, L))
     HY = np.zeros((L, Y.shape[1]))
     for i in range(0, len(X), _MAP_ROWS):
-        H = hidden_map(params, X[i:i + _MAP_ROWS])
+        Xb, Yb = X[i:i + _MAP_ROWS], Y[i:i + _MAP_ROWS]
+        _check_finite(who, "X", Xb, i)
+        _check_finite(who, "Y", Yb, i)
+        H = hidden_map(params, Xb)
         # H.T and gram.T are F-ordered views, so dsyrk reads H and adds H'H
         # to gram's lower triangle in gram's own memory
         blas.dsyrk(1.0, H.T, beta=1.0, c=gram.T, overwrite_c=1)
-        HY += H.T @ Y[i:i + _MAP_ROWS]
+        HY += H.T @ Yb
     gram[np.diag_indices_from(gram)] += ridge
     mirror_lower(gram)
     # gram is exactly symmetric, so its F-ordered view gram.T is the same
     # matrix and LAPACK factors it without a copy
-    return cholesky_spd(gram.T, who, overwrite=True), HY
+    return _cholesky(gram.T, who, singular), HY
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
@@ -119,13 +123,10 @@ def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
     (typically n_samples >= n_hidden); rank deficiency raises
     SingularMatrixError instead of silently regularizing.
     """
-    try:
-        factor, HY = _normal_equations(params, X, Y_bip, ridge, "batch_train")
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"batch_train: H'H is singular (pivot {err.pivot}); "
-            "H is rank deficient, pass ridge > 0 or add rows",
-            pivot=err.pivot) from err
+    factor, HY = _normal_equations(
+        params, X, Y_bip, ridge, "batch_train",
+        "batch_train: H'H is singular (pivot {pivot}); "
+        "H is rank deficient, pass ridge > 0 or add rows")
     return lapack.dpotrs(factor, HY, lower=1)[0]
 
 

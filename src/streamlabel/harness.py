@@ -8,10 +8,10 @@ recursive update) -> pick threshold -> decode test set -> score. Rows are
 normalized as they are mapped, one block at a time, so a run holds its data,
 M and a few blocks of derived rows, never a normalized copy of a split or
 an (n, n_hidden) hidden matrix; only the initial block is normalized whole.
-Training time covers normalizing and solving the initial block, the
-sequential phase and threshold selection; test time covers the finite-row
-check, normalizing, raw prediction and decoding. Data loading and fitting
-the normalization (each feature's min and max) are excluded from both.
+Training time covers normalizing and solving the initial block and the
+sequential phase; test time covers the finite-row check, normalizing, raw
+prediction and decoding. Data loading, the training rows' finite check and
+the normalization fit (each feature's min and max) are excluded from both.
 """
 
 import base64
@@ -37,7 +37,7 @@ from .online import OselmState, init_phase, look_ahead, update_chunk
 
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
-THRESHOLD_MODES = ("calibrated", "zero", "recalibrate")
+THRESHOLD_MODES = ("calibrated", "zero")
 
 
 class ConfigError(ValueError):
@@ -216,17 +216,17 @@ class TrainedModel:
     n_epochs: int
     init_s: float
     seq_s: float
-    threshold_s: float
 
     @property
     def train_s(self) -> float:
-        return self.init_s + self.seq_s + self.threshold_s
+        return self.init_s + self.seq_s
 
 
 def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
     """Run the full streaming training phase over a training bundle.
 
-    Fits normalization (when enabled), solves the initial block, streams the
+    Checks the rows finite (naming the first bad bundle row), fits
+    normalization (when enabled), solves the initial block, streams the
     remaining samples in chunks, and selects the decoding threshold. Each
     chunk's raw scores are taken before its own update touches the weights.
     """
@@ -237,6 +237,9 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
             f"initial block (N0={n0}) consumes all {n_train} training "
             "samples; need more training data or a smaller n_hidden/n_init")
 
+    # before the fit, which a NaN would poison, in blocks like predict_sets
+    for i in range(0, n_train, _MAP_ROWS):
+        _check_finite("train_stream", "X", train.X[i:i + _MAP_ROWS], i)
     norm_stats = normalize_fit(train) if config.normalize else None
     truth = label_matrix(train.labelsets, train.m)
     targets = np.where(truth, 1.0, -1.0)
@@ -272,25 +275,10 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
                          scores=raw)
     seq_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    if config.threshold_mode == "zero":
-        threshold = 0.0
-    elif config.threshold_mode == "calibrated":
-        threshold = threshold_value(calib)
-    else:  # recalibrate: post-hoc pass over all training data with final beta
-        # block by block, which equals one calibrate_chunk over all rows
-        # (the extrema fold row by row)
-        post = ThresholdCalib()
-        for start in range(0, n_train, _MAP_ROWS):
-            rows = _normalized(norm_stats, train.X[start:start + _MAP_ROWS])
-            calibrate_chunk(post, predict_raw(params, state.beta, rows),
-                            truth[start:start + _MAP_ROWS])
-        threshold = threshold_value(post)
-    threshold_s = time.perf_counter() - t0
-
+    threshold = 0.0 if config.threshold_mode == "zero" else threshold_value(calib)
     return TrainedModel(params=params, state=state, threshold=threshold,
                         norm_stats=norm_stats, calib=calib, n_epochs=n_epochs,
-                        init_s=init_s, seq_s=seq_s, threshold_s=threshold_s)
+                        init_s=init_s, seq_s=seq_s)
 
 
 def _normalized(norm_stats: NormStats | None, X) -> np.ndarray:
@@ -520,11 +508,13 @@ def load_model(path) -> LoadedModel:
     b = _decode_array(arrays.get("b"), "b", (n_hidden,))
     beta = _decode_array(arrays.get("beta"), "beta", (n_hidden, n_labels))
     M = _decode_array(arrays.get("M"), "M", (n_hidden, n_hidden))
-    if not np.array_equal(M, M.T):  # save_model writes it exactly symmetric
-        raise ModelFormatError(f"{path}: model array 'M' is not symmetric")
     params = ElmParams(W=W, b=b)
-    state = OselmState(beta=beta.copy(), M=M,
-                       samples_seen=samples_seen, ridge_used=ridge)
+    try:  # the state's own rule: save_model writes M exactly symmetric
+        state = OselmState(beta=beta.copy(), M=M,
+                           samples_seen=samples_seen, ridge_used=ridge)
+    except ValueError as err:
+        raise ModelFormatError(
+            f"{path}: model array 'M' is rejected: {err}") from err
     norm_stats = None
     if arrays.get("norm_min") is not None or arrays.get("norm_max") is not None:
         norm_stats = NormStats(

@@ -1,8 +1,8 @@
 """Dense matrix primitives: checked Cholesky factor, finite rows, seeded RNG.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
-All solves and inverses go through one checked Cholesky factorization;
-asymmetric or indefinite inputs are rejected rather than silently repaired.
+All solves and inverses go through one private checked Cholesky step, fed
+exactly symmetric matrices; indefinite or singular ones raise an error.
 """
 
 import numpy as np
@@ -12,10 +12,9 @@ from scipy.linalg import lapack
 # portable across builds and platforms.
 GENERATOR_TAG = "numpy-pcg64"
 
-_SYM_RTOL = 1e-9
 _EPS = np.finfo(np.float64).eps
 
-# row-block size of the in-place triangle copy and the symmetry check
+# row-block size of the in-place triangle copy
 _MIRROR_BLOCK = 64
 _STRICT_UPPER = np.triu(np.ones((_MIRROR_BLOCK, _MIRROR_BLOCK), dtype=bool), 1)
 _STRICT_UPPER.setflags(write=False)
@@ -63,51 +62,26 @@ def mirror_lower(A) -> None:
         A[i0:i1, i1:] = A[i1:, i0:i1].T
 
 
-def _asymmetry(A) -> float:
-    """max |A - A'|, taken in blocks of rows to avoid an n x n temporary."""
-    n = A.shape[0]
-    worst = 0.0
-    for i0 in range(0, n, _MIRROR_BLOCK):
-        i1 = min(i0 + _MIRROR_BLOCK, n)
-        worst = max(worst, float(np.abs(A[i0:i1] - A[:, i0:i1].T).max()))
-    return worst
+def _cholesky(A, who: str, singular: str) -> np.ndarray:
+    """Checked lower Cholesky factor of exactly symmetric, F-ordered A, in A.
 
-
-def cholesky_spd(A, who: str = "cholesky_spd",
-                 overwrite: bool = False) -> np.ndarray:
-    """Checked lower Cholesky factor of symmetric positive definite A.
-
-    A must be finite and symmetric within 1e-9 relative; anything worse is
-    an error, not auto-symmetrized. Raises SingularMatrixError naming the
-    offending pivot when A is not numerically positive definite; ``who``
-    prefixes the messages. The factor is F-ordered and only its lower
-    triangle is meaningful. With ``overwrite`` it may be written into A's
-    own memory.
+    A NaN or inf entry raises ValueError; a non-positive pivot, or one under
+    64 n eps times A's largest magnitude, raises SingularMatrixError with
+    the message ``singular.format(pivot=p)``.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
-    n = A.shape[0]
     scale = max(float(A.max()), -float(A.min())) if A.size else 0.0
     if not np.isfinite(scale):
         raise ValueError(f"{who}: matrix has a NaN or infinite entry")
-    if scale > 0.0 and _asymmetry(A) > _SYM_RTOL * scale:
-        raise ValueError("A is not symmetric within 1e-9 relative tolerance")
-
-    factor, info = lapack.dpotrf(A, lower=1, overwrite_a=overwrite)
-    if info > 0:
-        raise SingularMatrixError(
-            f"{who}: matrix is not positive definite (pivot {info - 1})",
-            pivot=info - 1)
+    factor, info = lapack.dpotrf(A, lower=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"{who}: illegal value in argument {-info}")
-    # dpotrf can succeed on a numerically singular matrix when rounding turns
-    # an exact zero pivot into a tiny positive one; reject those as well.
+    # dpotrf can succeed on a numerically singular matrix when rounding
+    # turns an exact zero pivot into a tiny positive one
     pivots = np.diagonal(factor) ** 2
-    tiny = 64.0 * n * _EPS * scale
-    if np.any(pivots <= tiny):
-        worst = int(np.argmin(pivots))
-        raise SingularMatrixError(
-            f"{who}: matrix is numerically singular (pivot {worst})",
-            pivot=worst)
-    return factor
+    if info > 0:
+        pivot = info - 1
+    elif np.any(pivots <= 64.0 * len(A) * _EPS * scale):
+        pivot = int(np.argmin(pivots))
+    else:
+        return factor
+    raise SingularMatrixError(singular.format(pivot=pivot), pivot=pivot)

@@ -34,8 +34,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .elm import ElmParams, _as_rows, _normal_equations, hidden_map
-from .numerics import (_MIRROR_BLOCK, SingularMatrixError, _check_finite,
-                       cholesky_spd, mirror_lower)
+from .numerics import _MIRROR_BLOCK, _check_finite, _cholesky, mirror_lower
 
 
 # The guard: the block's factor solves row i of U as its projection less the
@@ -138,14 +137,11 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
     the block must make H0'H0 invertible, which in practice means at least
     n_hidden samples.
     """
-    try:
-        factor, HY = _normal_equations(params, X0, Y0_bip, ridge, "init_phase")
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"init_phase: initial Gram matrix is singular (pivot {err.pivot}); "
-            f"use a larger initial block (>= {params.n_hidden} samples) "
-            "or a positive ridge",
-            pivot=err.pivot) from err
+    factor, HY = _normal_equations(
+        params, X0, Y0_bip, ridge, "init_phase",
+        "init_phase: initial Gram matrix is singular (pivot {pivot}); "
+        f"use a larger initial block (>= {params.n_hidden} samples) "
+        "or a positive ridge")
     # the inverse fills the lower triangle of the F-ordered factor, in its
     # memory; the mirror leaves it exactly symmetric
     inv, info = lapack.dpotri(factor, lower=1, overwrite_c=True)
@@ -288,13 +284,9 @@ def _announce(state: OselmState, X, H) -> _LookAhead:
     K += K.T
     K *= 0.5
     K[np.diag_indices_from(K)] += 1.0
-    try:
-        # K is exactly symmetric, so it is factored in its own memory
-        F = cholesky_spd(K.T, "look_ahead", overwrite=True)
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"look_ahead: gain matrix is singular (pivot {err.pivot})",
-            pivot=err.pivot) from err
+    # K is exactly symmetric, so it is factored in its own memory
+    F = _cholesky(K.T, "look_ahead",
+                  "look_ahead: gain matrix is singular (pivot {pivot})")
     U = _solve_lower(F, P)
     removed = np.einsum("ij,ij->i", U, U).cumsum()
     trusted = int(removed.searchsorted(_STALE_FRACTION * M.trace(), "right"))

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
-                         ThresholdCalib, calibrate_chunk, cv_folds,
-                         decode_rows, emit_report, harness, init_params,
-                         hidden_map, init_phase, load_dataset,
-                         load_dataset_defaults, load_model, normalize_fit,
-                         predict_raw, predict_sets, run_cv_bundle,
-                         run_stream_split, save_model, split,
-                         threshold_value, train_stream, update_chunk)
+                         batch_train, cv_folds, decode_rows, emit_report,
+                         harness, init_params, hidden_map, init_phase,
+                         load_dataset, load_dataset_defaults, load_model,
+                         normalize_fit, predict_raw, predict_sets,
+                         run_cv_bundle, run_stream_split, save_model, split,
+                         train_stream, update_chunk)
 from streamlabel.cli import main
 from streamlabel.dataio import _normalize_rows
 
@@ -187,8 +186,6 @@ def test_threshold_modes():
     calibrated = train_stream(_config(), train)
     expected = (calibrated.calib.min_pos + calibrated.calib.max_neg) / 2.0
     assert calibrated.threshold == expected
-    recal = run_stream_split(_config(threshold_mode="recalibrate"), train, test)
-    assert np.isfinite(recal.threshold)
 
 
 def test_stream_command_matches_split_and_run_stream_split(tmp_path, capsys):
@@ -387,7 +384,8 @@ def _set_b_shape(doc):
     (_set_array("b", np.full(6, np.inf)), "'b'"),
     (_set_array("beta", np.full((6, 2), np.nan)), "'beta'"),
     (_set_array("M", np.full((6, 6), -np.inf)), "'M'"),
-    (_bump_m, "'M' is not symmetric"),
+    (_bump_m, "model array 'M' is rejected: OselmState: M is not exactly "
+              "symmetric$"),
     (_set_array("norm_min", np.full(4, np.nan)), "'norm_min'"),
     (_set_array("norm_max", np.full(4, np.inf)), "'norm_max'"),
     (_set_field("threshold", math.nan), "'threshold'"),
@@ -725,8 +723,8 @@ def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
                 events.append(")")
         return update_chunk
 
-    monkeypatch.setattr(online, "cholesky_spd",
-                        logged("factor", online.cholesky_spd))
+    monkeypatch.setattr(online, "_cholesky",
+                        logged("factor", online._cholesky))
     monkeypatch.setattr(online.blas, "dsyrk",
                         logged("fold", online.blas.dsyrk))
     monkeypatch.setattr(harness, "look_ahead",
@@ -748,22 +746,60 @@ def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
                           + (["announce", "fold", "factor"] + block) * 19)
 
 
-def test_recalibrate_and_predict_sets_match_one_pass_over_all_rows():
-    # 700 training and 600 test rows span several blocks of 256; folding
-    # the blocks' scores equals one calibrate_chunk over all rows, and
-    # decoding block by block equals decoding all rows at once
+def test_every_factored_matrix_is_exactly_symmetric(monkeypatch):
+    # the factor trusts its callers to hand it an exactly symmetric matrix:
+    # both solves' Gram matrices and the gain of announced and unannounced
+    # chunks
+    import streamlabel.elm as elm
+    import streamlabel.online as online
+    real, factored = online._cholesky, []
+
+    def checked(A, who, singular):
+        assert np.array_equal(A, A.T), who
+        factored.append(who)
+        return real(A, who, singular)
+
+    monkeypatch.setattr(elm, "_cholesky", checked)
+    monkeypatch.setattr(online, "_cholesky", checked)
+    bundle = synthetic_bundle(300, 6, 3, seed=52)
+    model = train_stream(_config(), bundle)
+    X = _normalize_rows(model.norm_stats, bundle.X)
+    Y = np.where(harness.label_matrix(bundle.labelsets, 3), 1.0, -1.0)
+    batch_train(model.params, X, Y)
+    # rows that were never announced: update_chunk announces them itself
+    update_chunk(model.state, model.params, X[:5], Y[:5])
+    assert factored[0] == "init_phase"
+    assert set(factored[1:-2]) == {"look_ahead"}
+    assert factored[-2:] == ["batch_train", "look_ahead"]
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("row", [70, 300])
+def test_train_stream_names_a_non_finite_row_by_its_bundle_row(normalize,
+                                                                row):
+    # with n_init 30 and chunks of 7, row 70 was named look_ahead's row 5
+    # unnormalized; normalized, its NaN poisoned the fitted min and max and
+    # the initial solve reported a NaN matrix. Row 300 lies in the second
+    # block of 256
+    bundle = synthetic_bundle(400, 6, 3, seed=53)
+    X = bundle.X.copy()
+    X[row, 2] = np.nan
+    bad = dataclasses.replace(bundle, X=X)
+    config = _config(n_hidden=8, n_init=30, normalize=normalize)
+    with pytest.raises(ValueError,
+                       match=f"^train_stream: X row {row} is not finite$"):
+        train_stream(config, bad)
+
+
+def test_predict_sets_matches_one_decode_over_all_rows():
+    # 600 test rows span several blocks of 256; decoding block by block
+    # equals decoding all rows at once
     train = synthetic_bundle(700, 6, 3, seed=46)
     test = synthetic_bundle(600, 6, 3, seed=47)
-    config = _config(n_hidden=30, n_init=60, chunk_size=5,
-                     threshold_mode="recalibrate")
+    config = _config(n_hidden=30, n_init=60, chunk_size=5)
     model = train_stream(config, train)
     stats = model.norm_stats
     beta = model.state.beta
-    raw = predict_raw(model.params, beta, _normalize_rows(stats, train.X))
-    whole = calibrate_chunk(ThresholdCalib(), raw,
-                            harness.label_matrix(train.labelsets, train.m))
-    assert model.threshold == threshold_value(whole)
-
     preds, _ = predict_sets(model.params, beta, model.threshold, stats, test,
                             min_one=True)
     raw = predict_raw(model.params, beta, _normalize_rows(stats, test.X))
@@ -778,7 +814,7 @@ def test_train_and_predict_memory_grows_only_by_outputs():
     # matrix (8 * n_hidden) would add 2400 bytes a row
     m, d = 4, 300
     config = _config(n_hidden=300, n_init=300, chunk_size=10, ridge=1e-6,
-                     label_spec=m, threshold_mode="recalibrate")
+                     label_spec=m)
     peaks = []
     for n in (1000, 4000):
         train = synthetic_bundle(n, d, m, seed=48)

@@ -2,12 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import blas
+from scipy.linalg import blas, cholesky
 
 from streamlabel import (ElmParams, OselmState, SingularMatrixError,
                          batch_train, hidden_map, init_params, init_phase,
                          look_ahead, online, update_chunk)
-from streamlabel.numerics import cholesky_spd
 
 
 def _stream(seed, n=200, d=8, m=5):
@@ -63,7 +62,26 @@ def test_solve_names_itself_on_a_nan_row(solve):
     p = init_params(8, 10, seed=4)
     X, Y = _stream(5, n=50)
     X[7, 2] = np.nan
-    match = f"^{solve.__name__}: matrix has a NaN or infinite entry$"
+    match = f"^{solve.__name__}: X row 7 is not finite$"
+    with pytest.raises(ValueError, match=match):
+        solve(p, X, Y)
+
+
+@pytest.mark.parametrize("solve", [init_phase, batch_train],
+                         ids=["init_phase", "batch_train"])
+@pytest.mark.parametrize("name,row", [("X", 5), ("X", 300), ("Y", 4),
+                                      ("Y", 260)])
+def test_solve_rejects_an_inf_row_and_a_nan_target(solve, name, row):
+    # an inf feature only saturated a hidden unit and trained a finite beta;
+    # a NaN target trained a NaN beta. Rows 300 and 260 lie in the second
+    # block of 256
+    p = init_params(8, 10, seed=4)
+    X, Y = _stream(5, n=400)
+    if name == "X":
+        X[row, 2] = np.inf
+    else:
+        Y[row, 1] = np.nan
+    match = f"^{solve.__name__}: {name} row {row} is not finite$"
     with pytest.raises(ValueError, match=match):
         solve(p, X, Y)
 
@@ -760,7 +778,7 @@ def test_blocked_gain_solve_equals_one_triangular_solve():
     H = rng.uniform(size=(k, L))
     P = H @ (A @ A.T / L)
     K = np.eye(k) + P @ H.T
-    F = cholesky_spd(0.5 * (K + K.T))
+    F = cholesky(0.5 * (K + K.T), lower=True)
     want = _one_dtrsm(F, P)
     U = online._solve_lower(F, P)
     assert np.shares_memory(U, P)
