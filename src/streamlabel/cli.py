@@ -13,7 +13,6 @@ stderr as "error[category]: message".
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
@@ -149,9 +148,11 @@ def _load(config: RunConfig):
                         config.label_spec, config.delimiter)
 
 
-def _write_output(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+def _write_report(args, config: RunConfig, report) -> None:
+    """A command's report, as JSON or --text, to --out or else stdout."""
+    text = emit_report(report, "text" if args.text else "json")
+    if config.out_path:
+        Path(config.out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -165,8 +166,7 @@ def _cmd_report(args) -> None:
         report = run_cv_bundle(config, bundle, args.folds)
     else:
         report = run_stream_split(config, *split(bundle, config.n_train))
-    fmt = "text" if args.text else "json"
-    _write_output(emit_report(report, fmt), config.out_path)
+    _write_report(args, config, report)
 
 
 def _cmd_train(args) -> None:
@@ -188,7 +188,7 @@ def _cmd_train(args) -> None:
         "threshold": model.threshold,
         "train_s": model.train_s,
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    sys.stdout.write(emit_report(summary, "json"))
 
 
 def _cmd_eval(args) -> None:
@@ -212,46 +212,30 @@ def _cmd_eval(args) -> None:
                                  model.threshold, model.norm_stats, bundle,
                                  config.min_one)
     metrics = evaluate(preds, bundle.labelsets, bundle.m)
-    doc = {
+    _write_report(args, config, {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset": Path(config.data_path).stem,
+        "dataset": config.name(),
         "model_path": args.model,
         "n_samples": bundle.n_samples,
         "metrics": metrics.as_dict(),
         "timing": {"test_s": test_s},
         "threshold": model.threshold,
-    }
-    if args.text:
-        lines = [f"{k:<12}  {v:.4f}" for k, v in metrics.as_dict().items()]
-        lines.append(f"{'threshold':<12}  {model.threshold:.6f}")
-        lines.append(f"{'test_s':<12}  {test_s:.6f}")
-        out = "\n".join(lines) + "\n"
-    else:
-        out = json.dumps(doc, indent=2) + "\n"
-    _write_output(out, config.out_path)
+    })
 
 
 def _cmd_stats(args) -> None:
     config = _build_config(args)
     bundle = _load(config)
     stats = dataset_stats(bundle.labelsets, bundle.m)
-    doc = {
+    _write_report(args, config, {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "dataset": Path(config.data_path).stem,
+        "dataset": config.name(),
         "n_samples": stats.n_samples,
         "n_features": bundle.n_features,
         "n_labels": stats.n_labels,
         "label_cardinality": stats.label_cardinality,
         "label_density": stats.label_density,
-    }
-    if args.text:
-        width = max(len(k) for k in doc) + 2
-        lines = [f"{k:<{width}}{v}" for k, v in doc.items()
-                 if k != "schema_version"]
-        out = "\n".join(lines) + "\n"
-    else:
-        out = json.dumps(doc, indent=2) + "\n"
-    _write_output(out, config.out_path)
+    })
 
 
 _COMMANDS = {

@@ -1,16 +1,21 @@
 """Dataset ingestion: attribute-relation (ARFF) and delimited text formats.
 
 Both formats yield a DatasetBundle of float64 features plus one label set
-per row. Which columns are labels is named by ``label_spec``: an int counts
-trailing label columns, a list names them explicitly, and a string points
-at a sidecar file listing them (XML ``<label name=.../>`` entries or plain
-text, one name per line).
+per row. Which columns are labels is named by ``label_spec``: a count >= 1
+(an int or numpy integer, not a bool) of trailing label columns, a
+non-empty list or tuple of column names, or a non-empty path string of a
+sidecar file listing them (XML ``<label name=.../>`` entries or plain text,
+one name per line).
 
 Feature columns parse as reals: booleans become 0/1, nominal categories
 become integer codes in declaration order. Label columns must hold 0/1.
+ARFF data rows may be dense or sparse (``{index value, ...}``, zero-based
+column indices in increasing order); a sparse row's omitted cells are 0,
+or a nominal column's first declared value.
 """
 
 import csv
+import math
 import numbers
 import re
 import xml.etree.ElementTree as ElementTree
@@ -52,10 +57,19 @@ class NormStats:
     max_: np.ndarray
 
 
-# a field and its comma: empty, quoted (it may hold commas) or bare, with no
-# quote first and no space at either end; one way to match keeps it linear
-_FIELD = r"""\s*(?:('[^']*'|"[^"]*"|[^,'"\s](?:[^,]*[^,\s])?)\s*)?,"""
+# a field and its comma: empty, or a value that is quoted (it may hold
+# commas) or bare, with no quote first and no space at either end; one way
+# to match keeps it linear. A sparse pair is a bare index, whitespace and
+# one such value; its value is optional here only to name a missing one.
+_VALUE = r"""'[^']*'|"[^"]*"|[^,'"\s](?:[^,]*[^,\s])?"""
+_FIELD = rf"\s*(?:({_VALUE})\s*)?,"
 _FIELDS = re.compile(f"(?:{_FIELD})*")
+_PAIR = rf"""\s*([^,'"\s]+)(?:\s+({_VALUE}))?\s*,"""
+_PAIRS = re.compile(f"(?:{_PAIR})*")
+
+
+def _unquote(field: str) -> str:
+    return field[1:-1] if field[:1] in ("'", '"') else field
 
 
 def _split_fields(text: str, where: str) -> list:
@@ -64,8 +78,39 @@ def _split_fields(text: str, where: str) -> list:
         return [t.strip() for t in text.split(",")]
     if not _FIELDS.fullmatch(text + ","):
         raise DatasetFormatError(f"{where}: malformed quoted field")
-    return [field[1:-1] if field[:1] in ("'", '"') else field
-            for field in re.findall(_FIELD, text + ",")]
+    return [_unquote(field) for field in re.findall(_FIELD, text + ",")]
+
+
+def _sparse_fields(text: str, defaults: list, where: str) -> list:
+    """The dense fields of a sparse row's body ``index value, ...``.
+
+    Indices are zero-based column positions in strictly increasing order;
+    a column left out keeps its entry in defaults.
+    """
+    tokens = list(defaults)
+    if not text.strip():
+        return tokens
+    if not _PAIRS.fullmatch(text + ","):
+        raise DatasetFormatError(f"{where}: malformed sparse pair")
+    previous = -1
+    for index, value in re.findall(_PAIR, text + ","):
+        try:
+            column = int(index)
+        except ValueError:
+            raise DatasetFormatError(
+                f"{where}: sparse index {index!r} is not an integer") from None
+        if not 0 <= column < len(tokens):
+            raise DatasetFormatError(
+                f"{where}: sparse index {column} is out of range for "
+                f"{len(tokens)} columns")
+        if column <= previous:
+            raise DatasetFormatError(
+                f"{where}: sparse index {column} does not follow {previous}")
+        if not value:
+            raise DatasetFormatError(f"{where}: sparse index {column} has no value")
+        tokens[column] = _unquote(value)
+        previous = column
+    return tokens
 
 
 def _read_sidecar_labels(path: str) -> list:
@@ -91,12 +136,31 @@ def _read_sidecar_labels(path: str) -> list:
     return names
 
 
+def _label_spec_problem(spec) -> str | None:
+    """What is wrong with a label_spec, or None when it follows the rule.
+
+    A label_spec is a count >= 1 (an int or numpy integer, not a bool), a
+    non-empty path string, or a non-empty list or tuple of str names.
+    Whether a count fits the file is checked when the file is read.
+    """
+    if spec is None:
+        return "label_spec is required"
+    if isinstance(spec, (list, tuple)):
+        valid = len(spec) > 0 and all(isinstance(name, str) for name in spec)
+    elif isinstance(spec, numbers.Integral) and not isinstance(spec, bool):
+        valid = spec >= 1
+    else:
+        valid = isinstance(spec, str) and spec != ""
+    if valid:
+        return None
+    return ("label_spec must be a count >= 1, a path or a non-empty list of "
+            f"names, got {spec!r}")
+
+
 def _resolve_label_names(label_spec, column_names, path: str) -> list:
-    if isinstance(label_spec, bool):
-        raise DatasetFormatError("label_spec must be an int, name list, or path")
     if isinstance(label_spec, numbers.Integral):
         label_spec = int(label_spec)  # -n of a numpy unsigned count wraps
-        if not 1 <= label_spec < len(column_names):
+        if label_spec >= len(column_names):
             raise DatasetFormatError(
                 f"{path}: label_spec={label_spec} but file has "
                 f"{len(column_names)} columns")
@@ -104,9 +168,7 @@ def _resolve_label_names(label_spec, column_names, path: str) -> list:
     if isinstance(label_spec, str):
         wanted = _read_sidecar_labels(label_spec)
     else:
-        wanted = [str(name) for name in label_spec]
-        if not wanted:
-            raise DatasetFormatError("label_spec name list is empty")
+        wanted = label_spec
     unknown = [name for name in wanted if name not in column_names]
     if unknown:
         raise DatasetFormatError(
@@ -116,39 +178,21 @@ def _resolve_label_names(label_spec, column_names, path: str) -> list:
     return [name for name in column_names if name in wanted_set]
 
 
-def _parse_label(token: str, path: str, row: int, col: int) -> int:
-    t = token.strip().lower()
-    if t == "true":
-        return 1
-    if t == "false":
-        return 0
-    try:
-        value = float(token)
-    except ValueError:
-        value = None
-    if value not in (0.0, 1.0):
-        raise DatasetFormatError(
-            f"{path}: data row {row}, column {col}: "
-            f"label value {token!r} is not 0/1")
-    return int(value)
+def _cell_error(path: str, r: int, c: int, problem: str) -> DatasetFormatError:
+    return DatasetFormatError(
+        f"{path}: data row {r + 1}, column {c + 1}: {problem}")
 
 
-def _parse_numeric(token: str, path: str, row: int, col: int) -> float:
+def _read_token(token: str) -> float | None:
+    """A cell's number: true/false (any case) read as 1/0, anything else
+    through float(); None when that fails."""
     t = token.strip().lower()
-    if t == "true":
-        return 1.0
-    if t == "false":
-        return 0.0
+    if t in ("true", "false"):
+        return float(t == "true")
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
-        raise DatasetFormatError(
-            f"{path}: data row {row}, column {col}: "
-            f"non-numeric feature token {token!r}") from None
-    if not np.isfinite(value):
-        raise DatasetFormatError(
-            f"{path}: data row {row}, column {col}: non-finite feature value")
-    return value
+        return None
 
 
 def _load_arff(path: str):
@@ -200,18 +244,25 @@ def _load_arff(path: str):
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: @data before any @attribute")
                 in_data = True
+                # ARFF's rule for a cell a sparse row leaves out
+                omitted = ["0" if kind == "numeric" else kind[0]
+                           for kind in kinds]
                 continue
             raise DatasetFormatError(
                 f"{path}: line {lineno}: unrecognized header line {line!r}")
         else:
-            if line.startswith("{"):
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: sparse data rows are not supported")
             where = f"{path}: line {lineno} (data row {len(rows) + 1})"
-            tokens = _split_fields(line, where)
-            if len(tokens) != len(names):
-                raise DatasetFormatError(
-                    f"{where}: expected {len(names)} fields, got {len(tokens)}")
+            if line.startswith("{"):
+                if not line.endswith("}"):
+                    raise DatasetFormatError(
+                        f"{where}: sparse row has no closing brace")
+                tokens = _sparse_fields(line[1:-1], omitted, where)
+            else:
+                tokens = _split_fields(line, where)
+                if len(tokens) != len(names):
+                    raise DatasetFormatError(
+                        f"{where}: expected {len(names)} fields, "
+                        f"got {len(tokens)}")
             rows.append(tokens)
     if not in_data:
         raise DatasetFormatError(f"{path}: no @data section")
@@ -244,8 +295,9 @@ def load_dataset(path, format: str = "arff", label_spec=None,
     (see module docstring); it is required.
     """
     path = str(path)
-    if label_spec is None:
-        raise DatasetFormatError("label_spec is required to identify label columns")
+    problem = _label_spec_problem(label_spec)
+    if problem:
+        raise DatasetFormatError(problem)
     if format == "arff":
         names, kinds, rows = _load_arff(path)
     elif format == "csv":
@@ -269,16 +321,26 @@ def load_dataset(path, format: str = "arff", label_spec=None,
             kind = kinds[c]
             token = tokens[c]
             if kind == "numeric":
-                X[r, k] = _parse_numeric(token, path, r + 1, c + 1)
+                value = _read_token(token)
+                if value is None:
+                    raise _cell_error(path, r, c,
+                                      f"non-numeric feature token {token!r}")
+                if not math.isfinite(value):
+                    raise _cell_error(path, r, c, "non-finite feature value")
+                X[r, k] = value
             else:
                 if token not in kind:
-                    raise DatasetFormatError(
-                        f"{path}: data row {r + 1}, column {c + 1}: "
+                    raise _cell_error(
+                        path, r, c,
                         f"value {token!r} not among declared categories")
                 X[r, k] = kind.index(token)
         members = set()
         for j, c in enumerate(label_cols):
-            if _parse_label(tokens[c], path, r + 1, c + 1):
+            value = _read_token(tokens[c])
+            if value not in (0.0, 1.0):
+                raise _cell_error(path, r, c,
+                                  f"label value {tokens[c]!r} is not 0/1")
+            if value:
                 members.add(j)
         labelsets.append(frozenset(members))
 

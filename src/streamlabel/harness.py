@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import (DatasetBundle, NormStats, _normalize_rows, normalize_fit,
-                     take_rows)
+from .dataio import (DatasetBundle, NormStats, _label_spec_problem,
+                     _normalize_rows, normalize_fit, take_rows)
 from .elm import _MAP_ROWS, ElmParams, init_params, predict_raw
 from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
                      label_matrix, threshold_value)
@@ -59,7 +59,9 @@ class RunConfig:
     """Everything a streaming run needs beyond the dataset file itself.
 
     Checked when built (and by dataclasses.replace): one ConfigError lists
-    every invalid value.
+    every invalid value. A valid config then holds plain Python values: int
+    counts and seed, a float ridge, and an int or a list of names for
+    label_spec, so numpy scalars given to it serialize as JSON.
     """
 
     data_path: str
@@ -82,15 +84,14 @@ class RunConfig:
         problems = []
         if self.data_format not in ("arff", "csv"):
             problems.append(f"data_format must be arff or csv, got {self.data_format!r}")
-        if self.label_spec is None:
-            problems.append("label_spec is required")
-        elif not _valid_label_spec(self.label_spec):
-            problems.append("label_spec must be a count >= 1, a path or a "
-                            f"non-empty list of names, got {self.label_spec!r}")
-        for key in ("n_hidden", "n_init", "chunk_size", "n_train", "seed"):
+        spec_problem = _label_spec_problem(self.label_spec)
+        if spec_problem:
+            problems.append(spec_problem)
+        counts = [key for key in ("n_hidden", "n_init", "chunk_size",
+                                  "n_train", "seed")
+                  if not (key == "n_train" and self.n_train is None)]
+        for key in counts:
             value = getattr(self, key)
-            if key == "n_train" and value is None:
-                continue
             if (not isinstance(value, numbers.Integral)
                     or isinstance(value, bool)):
                 problems.append(f"{key} must be an integer, got {value!r}")
@@ -111,6 +112,13 @@ class RunConfig:
                     f"{key} must be true or false, got {getattr(self, key)!r}")
         if problems:
             raise ConfigError(problems)
+        for key in counts:
+            object.__setattr__(self, key, int(getattr(self, key)))
+        object.__setattr__(self, "ridge", float(self.ridge))
+        spec = self.label_spec
+        if not isinstance(spec, str):
+            object.__setattr__(self, "label_spec", list(spec)
+                               if isinstance(spec, (list, tuple)) else int(spec))
 
     @property
     def n_init_effective(self) -> int:
@@ -121,22 +129,11 @@ class RunConfig:
         return self.dataset_name or Path(self.data_path).stem
 
 
-def _valid_label_spec(spec) -> bool:
-    if isinstance(spec, (list, tuple)):
-        return len(spec) > 0 and all(isinstance(name, str) for name in spec)
-    if isinstance(spec, numbers.Integral) and not isinstance(spec, bool):
-        return spec >= 1
-    return isinstance(spec, str) and spec != ""
-
-
 def config_echo(config: RunConfig) -> dict:
-    spec = config.label_spec  # checked: a count, a path or a list of names
-    if not isinstance(spec, str):  # a count, numpy integers too, as an int
-        spec = list(spec) if isinstance(spec, (list, tuple)) else int(spec)
     return {
         "data_path": config.data_path,
         "data_format": config.data_format,
-        "label_spec": spec,
+        "label_spec": config.label_spec,
         "n_train": config.n_train,
         "n_hidden": config.n_hidden,
         "seed": config.seed,
@@ -528,36 +525,29 @@ def load_model(path) -> LoadedModel:
 # report emission
 
 def emit_report(report, format: str = "json") -> str:
-    """Render a RunReport or CvReport as machine-stable JSON or aligned text."""
+    """Render a RunReport, a CvReport or a command's plain document (a dict).
+
+    "json" is the document itself, machine-stable. "text" is one aligned
+    ``key  value`` line per scalar: a nested object's keys print as
+    ``outer.key``, lists are left out and floats take six decimals.
+    """
+    doc = report if isinstance(report, dict) else report.to_json_dict()
     if format == "json":
-        return json.dumps(report.to_json_dict(), indent=2) + "\n"
+        return json.dumps(doc, indent=2) + "\n"
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
-    doc = report.to_json_dict()
-    lines = []
-    if isinstance(report, RunReport):
-        names = list(doc["metrics"])
-        widths = [max(len(n), 12) for n in names]
-        header = "dataset".ljust(12) + "  ".join(
-            n.ljust(w) for n, w in zip(names, widths))
-        row = doc["dataset"][:12].ljust(12) + "  ".join(
-            f"{doc['metrics'][n]:.4f}".ljust(w) for n, w in zip(names, widths))
-        lines += [header.rstrip(), row.rstrip(), ""]
-        lines.append(f"threshold    {doc['threshold']:.6f}")
-        lines.append(f"train_s      {doc['timing']['train_s']:.6f}")
-        lines.append(f"test_s       {doc['timing']['test_s']:.6f}")
-        lines.append(f"n_epochs     {doc['timing']['n_epochs']}")
-        lines.append(f"avg_epoch_s  {doc['timing']['avg_epoch_s']:.6f}")
-    elif isinstance(report, CvReport):
-        lines.append(f"dataset      {doc['dataset']}")
-        lines.append(f"n_folds      {doc['n_folds']}")
-        lines.append("")
-        lines.append("metric        mean      std")
-        for key, value in doc["mean"].items():
-            lines.append(f"{key:<12}  {value:.4f}    {doc['std'][key]:.4f}")
-    else:
-        raise ValueError(f"cannot render report of type {type(report).__name__}")
-    return "\n".join(lines) + "\n"
+    rows = list(_scalars(doc, ""))
+    width = max(len(key) for key, _ in rows) + 2
+    return "".join(f"{key:<{width}}{value:.6f}\n" if isinstance(value, float)
+                   else f"{key:<{width}}{value}\n" for key, value in rows)
+
+
+def _scalars(doc: dict, prefix: str):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _scalars(value, f"{prefix}{key}.")
+        elif not isinstance(value, list):
+            yield prefix + key, value
 
 
 def load_dataset_defaults(name: str | None = None) -> dict:

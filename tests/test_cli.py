@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from streamlabel import (RunConfig, harness, load_dataset, save_model,
-                         train_stream)
+from streamlabel import (ConfigError, DatasetFormatError, RunConfig, harness,
+                         load_dataset, save_model, train_stream)
 from streamlabel import cli
 from streamlabel.cli import main
 
@@ -107,8 +107,9 @@ def test_cv_text(synth_csv, capsys):
                  "--folds", "3", "--seed", "2", "--text"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "n_folds      3" in out
-    assert "hamming_loss" in out
+    # the key column is the longest key, config.n_init_effective, plus two
+    assert "\nn_folds                  3\n" in out
+    assert "\nmean.hamming_loss        0." in out
 
 
 def test_defaults_merge_with_overrides(synth_csv, capsys):
@@ -121,6 +122,88 @@ def test_defaults_merge_with_overrides(synth_csv, capsys):
     assert doc["config"]["n_hidden"] == 20       # explicit flag
     assert doc["config"]["label_spec"] == 3      # explicit flag
     assert doc["config"]["threshold_mode"] == "calibrated"  # from defaults
+
+
+def test_every_command_names_its_dataset_as_the_config_does(
+        synth_csv, tmp_path, capsys):
+    # --defaults names the dataset even when --data names another file
+    model = str(tmp_path / "model.json")
+    data = ["--defaults", "yeast", "--data", synth_csv, "--format", "csv",
+            "--labels", "3"]
+    for argv in (["train", "--out", model] + data + RUN_FLAGS,
+                 ["stream"] + data + RUN_FLAGS,
+                 ["cv", "--folds", "3"] + data + RUN_FLAGS,
+                 ["eval", "--model", model, "--skip", "200"] + data,
+                 ["stats"] + data):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["dataset"] == "yeast"
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("stream", ("config.n_hidden", "metrics.f1", "timing.train_s")),
+    ("cv", ("config.seed", "mean.hamming_loss", "std.f1")),
+    ("eval", ("metrics.accuracy", "timing.test_s", "threshold")),
+    ("stats", ("n_samples", "label_density")),
+])
+def test_text_output_is_one_aligned_line_per_scalar(synth_csv, tmp_path,
+                                                    capsys, command, keys):
+    model = str(tmp_path / "model.json")
+    if command == "eval":
+        assert main(["train", "--data", synth_csv, "--out", model]
+                    + RUN_FLAGS) == 0
+    argv = {"stream": ["stream"] + RUN_FLAGS,
+            "cv": ["cv", "--folds", "3"] + RUN_FLAGS,
+            "eval": ["eval", "--model", model, "--skip", "200", "--format",
+                     "csv", "--labels", "3"],
+            "stats": ["stats", "--format", "csv", "--labels", "3"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--data", synth_csv, "--text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pairs = dict(line.split(None, 1) for line in lines)
+    width = max(len(key) for key in pairs) + 2
+    assert all(line[width - 2:width] == "  " and line[width] != " "
+               for line in lines)
+    for key in keys:
+        assert key in pairs
+    assert pairs["dataset"] == "synth"
+
+
+@pytest.mark.parametrize("spec", ["", 2.0, True, [], [1]],
+                         ids=["empty-path", "float", "bool", "empty-list",
+                              "int-name"])
+def test_one_label_spec_rule_for_config_loader_and_cli(
+        synth_csv, monkeypatch, capsys, spec):
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(data_path=synth_csv, label_spec=spec)
+    [message] = excinfo.value.problems
+    assert message == ("label_spec must be a count >= 1, a path or a "
+                       f"non-empty list of names, got {spec!r}")
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(synth_csv, "csv", spec)
+    assert str(excinfo.value) == message
+    # a label_spec reaches the CLI only through shipped defaults
+    monkeypatch.setattr(cli, "load_dataset_defaults",
+                        lambda name: {"label_spec": spec})
+    assert main(["stats", "--defaults", "x", "--data", synth_csv,
+                 "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+
+
+def test_a_numpy_label_count_reads_the_same_columns_everywhere(
+        synth_csv, monkeypatch, capsys):
+    want = load_dataset(synth_csv, "csv", 3)
+    got = load_dataset(synth_csv, "csv", np.int64(3))
+    assert got.label_names == want.label_names == ("L0", "L1", "L2")
+    assert RunConfig(data_path=synth_csv, label_spec=np.int64(3)).label_spec == 3
+    docs = []
+    for spec in (3, np.int64(3)):
+        monkeypatch.setattr(cli, "load_dataset_defaults",
+                            lambda name, spec=spec: {"label_spec": spec})
+        assert main(["stats", "--defaults", "x", "--data", synth_csv,
+                     "--format", "csv"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1]
+    assert (docs[0]["n_features"], docs[0]["n_labels"]) == (6, 3)
 
 
 def test_unknown_defaults_name(capsys):
@@ -268,7 +351,7 @@ def test_stats_explicit_labels_win_over_defaults(synth_csv, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_labels"] == 3
-    assert doc["dataset"] == "synth"
+    assert doc["dataset"] == "medical"
 
 
 def test_eval_rejects_label_space_mismatch(synth_csv, tmp_path, capsys):

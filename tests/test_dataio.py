@@ -86,12 +86,63 @@ def test_arff_quoted_attribute_names(tmp_path):
     assert bundle.feature_names == ("my feature",)
 
 
-def test_arff_rejects_sparse_rows(tmp_path):
+_TWIN_HEADER = ("@relation t\n"
+                "@attribute a numeric\n"
+                "@attribute shade {'light, blue',red}\n"
+                "@attribute b numeric\n"
+                "@attribute l1 {0,1}\n"
+                "@attribute l2 {0,1}\n"
+                "@data\n")
+
+
+def test_arff_sparse_rows_load_as_their_dense_twin(tmp_path):
+    # an omitted numeric cell is 0, an omitted nominal cell its first value
+    dense = tmp_path / "dense.arff"
+    dense.write_text(_TWIN_HEADER
+                     + "0.5,'light, blue',0,1,0\n"
+                     + "0,red,2.5,0,1\n"
+                     + "0,'light, blue',0,0,0\n"
+                     + "1e-3,red,true,1,1\n", encoding="utf-8")
+    sparse = tmp_path / "sparse.arff"
+    sparse.write_text(_TWIN_HEADER
+                      + "{0 0.5,3 1}\n"
+                      + "{ 1 red , 2\t2.5, 4 1 }\n"
+                      + "{}\n"
+                      + "% a dense row may sit among sparse ones\n"
+                      + "1e-3,red,true,1,1\n", encoding="utf-8")
+    want = load_dataset(dense, "arff", 2)
+    got = load_dataset(sparse, "arff", 2)
+    assert np.array_equal(got.X, want.X)
+    assert got.X.tolist() == [[0.5, 0.0, 0.0], [0.0, 1.0, 2.5],
+                              [0.0, 0.0, 0.0], [0.001, 1.0, 1.0]]
+    assert got.labelsets == want.labelsets
+    assert (got.feature_names, got.label_names, got.m) == (
+        want.feature_names, want.label_names, want.m)
+    quoted = tmp_path / "quoted.arff"
+    quoted.write_text(_TWIN_HEADER + "{0 0.5, 1 'light, blue', 3 '1'}\n",
+                      encoding="utf-8")
+    assert load_dataset(quoted, "arff", 2).X.tolist() == [[0.5, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("row,match", [
+    ("{0 1, x 2}", "sparse index 'x' is not an integer"),
+    ("{0 1, 1.0 red}", "sparse index '1.0' is not an integer"),
+    ("{0 1, 5 1}", "sparse index 5 is out of range for 5 columns"),
+    ("{-1 1}", "sparse index -1 is out of range for 5 columns"),
+    ("{2 1, 0 1}", "sparse index 0 does not follow 2"),
+    ("{3 1, 3 1}", "sparse index 3 does not follow 3"),
+    ("{0 1, 3}", "sparse index 3 has no value"),
+    ("{0 1, 1 'red}", "malformed sparse pair"),
+    ("{0 1, , 3 1}", "malformed sparse pair"),
+    ("{0 1, 3 1", "sparse row has no closing brace"),
+], ids=["word", "decimal", "past-end", "negative", "decreasing", "repeated",
+        "no-value", "open-quote", "empty-pair", "no-brace"])
+def test_arff_bad_sparse_rows_cite_the_line(tmp_path, row, match):
     path = tmp_path / "s.arff"
-    path.write_text("@relation s\n@attribute a numeric\n@attribute l {0,1}\n"
-                    "@data\n{0 1.0, 1 1}\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError, match="sparse"):
-        load_dataset(path, format="arff", label_spec=1)
+    path.write_text(_TWIN_HEADER + "{0 1}\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"line 9 (data row 2): {match}")):
+        load_dataset(path, format="arff", label_spec=2)
 
 
 def test_arff_field_count_cites_line_and_row(tmp_path):
@@ -198,7 +249,12 @@ def test_true_and_false_cells_read_as_one_and_zero(tmp_path):
     ("nan,1", "data row 1, column 1: non-finite feature value"),
     ("1e400,1", "data row 1, column 1: non-finite feature value"),
     ("1.0,yes", "data row 1, column 2: label value 'yes' is not 0/1"),
-], ids=["nan", "overflow", "label-token"])
+    ("oops,1", "data row 1, column 1: non-numeric feature token 'oops'"),
+    ("1.0,nan", "data row 1, column 2: label value 'nan' is not 0/1"),
+    ("1.0,yes\noops,1", "data row 1, column 2: label value 'yes' is not 0/1"),
+    ("1.0,1\ninf,yes", "data row 2, column 1: non-finite feature value"),
+], ids=["nan", "overflow", "label-token", "feature-token", "label-nan",
+        "rows-in-order", "features-first"])
 def test_bad_cells_cite_their_position(tmp_path, row, match):
     path = tmp_path / "c.csv"
     path.write_text("a,l1\n" + row + "\n", encoding="utf-8")
@@ -222,8 +278,10 @@ def test_a_file_without_rows_is_rejected(tmp_path, name, text, fmt, match):
 @pytest.mark.parametrize("spec,sidecar,match", [
     (["width", "height", "color", "is_big", "is_red"], None,
      "label_spec leaves no feature columns"),
-    (True, None, "label_spec must be an int, name list, or path"),
-    ([], None, "label_spec name list is empty"),
+    (True, None, "label_spec must be a count >= 1, a path or a non-empty "
+                 "list of names, got True"),
+    ([], None, "label_spec must be a count >= 1, a path or a non-empty "
+               r"list of names, got \[\]"),
     ("labels.xml", "<labels><label name='is_big'></labels>",
      "labels.xml: invalid XML"),
     ("labels.xml", "<labels><column name='is_big'/><label/></labels>",

@@ -82,6 +82,33 @@ def test_config_accepts_numpy_scalars():
     config = _config(n_hidden=np.int64(20), seed=np.uint32(3),
                      ridge=np.float64(0.5), n_train=np.int32(100))
     assert config.n_hidden == 20 and config.ridge == 0.5
+    # stored as plain Python values, and dataclasses.replace keeps them so
+    for config in (config, dataclasses.replace(config, n_init=np.int16(30))):
+        for key in ("n_hidden", "n_init", "chunk_size", "n_train", "seed"):
+            assert type(getattr(config, key)) is int
+        assert type(config.ridge) is float
+    assert _config(label_spec=("b", "a")).label_spec == ["b", "a"]
+    assert type(_config(label_spec=np.uint8(3)).label_spec) is int
+
+
+def test_numpy_scalar_config_reports_and_saves_as_json(tmp_path):
+    train, test = split(synthetic_bundle(260, 6, 3, seed=32), 200)
+    config = _config(seed=np.int64(1), n_hidden=np.int32(20),
+                     chunk_size=np.uint16(7), n_train=np.int64(200),
+                     ridge=np.float32(0.25))
+    plain = _config(seed=1, n_hidden=20, chunk_size=7, n_train=200,
+                    ridge=float(np.float32(0.25)))
+    docs = [json.loads(emit_report(run_stream_split(c, train, test), "json"))
+            for c in (config, plain)]
+    for doc in docs:
+        doc["timing"] = None
+    assert docs[0] == docs[1]
+    assert docs[0]["config"]["seed"] == 1
+    model = train_stream(config, train)
+    path = tmp_path / "model.json"
+    save_model(model.params, model.state, model.threshold, model.norm_stats,
+               path, seed=config.seed)
+    assert load_model(path).seed == 1
 
 
 def test_config_requires_label_spec():
@@ -475,10 +502,20 @@ def test_emit_report_json_parses_back():
 
 
 def test_emit_report_text_contents():
-    text = emit_report(golden_run_report(), "text")
-    for name in ("hamming_loss", "accuracy", "precision", "recall", "f1",
-                 "train_s", "test_s", "n_epochs", "avg_epoch_s", "threshold"):
-        assert name in text
+    lines = emit_report(golden_run_report(), "text").splitlines()
+    # the key column is the longest key, config.n_init_effective, plus two
+    for line in ("schema_version           1",
+                 "dataset                  example",
+                 "config.label_spec        4",
+                 "config.ridge             0.000000",
+                 "config.min_one           False",
+                 "metrics.hamming_loss     0.125000",
+                 "metrics.f1               0.812500",
+                 "timing.train_s           0.031250",
+                 "timing.n_epochs          16",
+                 "threshold                0.250000"):
+        assert line in lines
+    assert len(lines) == 25
 
 
 def test_emit_report_text_for_cv():
@@ -486,8 +523,20 @@ def test_emit_report_text_for_cv():
     config = _config(n_hidden=10, n_init=20, chunk_size=5)
     report = run_cv_bundle(config, bundle, 3)
     text = emit_report(report, "text")
-    assert "n_folds" in text
-    assert "hamming_loss" in text
+    assert "\nn_folds                  3\n" in text
+    assert f"\nstd.f1                   {report.std['f1']:.6f}\n" in text
+    assert "folds" not in text.replace("n_folds", "")
+
+
+def test_emit_report_renders_a_plain_document():
+    doc = {"name": "x", "outer": {"ratio": 0.5, "items": [1, 2], "n": 3},
+           "flag": True, "missing": None}
+    assert emit_report(doc, "json") == json.dumps(doc, indent=2) + "\n"
+    assert emit_report(doc, "text") == ("name         x\n"
+                                        "outer.ratio  0.500000\n"
+                                        "outer.n      3\n"
+                                        "flag         True\n"
+                                        "missing      None\n")
 
 
 def test_emit_report_unknown_format():
