@@ -30,14 +30,14 @@ from .numerics import SingularMatrixError
 
 
 def _parse_label_spec(value: str):
-    """--labels accepts a count, a comma list of names, or a sidecar path."""
+    """--labels accepts a count, a sidecar path, or a comma list of names;
+    blank names are dropped, so a blank list fails the label_spec rule."""
     if value.isdigit():
         return int(value)
-    if "," in value:
-        return [name.strip() for name in value.split(",") if name.strip()]
-    if value.endswith((".xml", ".txt")) or os.path.sep in value:
+    if "," not in value and (value.endswith((".xml", ".txt"))
+                             or os.path.sep in value):
         return value
-    return [value]
+    return [name.strip() for name in value.split(",") if name.strip()]
 
 
 def _default_data_path(name: str) -> str:
@@ -52,9 +52,9 @@ def _default_data_path(name: str) -> str:
         "pass --data explicitly")
 
 
-# Each run and data flag stores into the RunConfig field of its dest; a flag
-# left unset is None (--seed alone defaults to 0), so shipped defaults show
-# through.
+# Each run and data flag but --delimiter and --defaults stores into the
+# RunConfig field of its dest; a flag left unset is None (--seed alone
+# defaults to 0), so shipped defaults show through.
 
 def _add_data_args(parser):
     parser.add_argument("--data", dest="data_path", help="dataset file path")
@@ -63,7 +63,8 @@ def _add_data_args(parser):
     parser.add_argument("--labels", dest="label_spec", type=_parse_label_spec,
                         help="label columns: trailing count, comma-separated "
                              "names, or sidecar .txt/.xml path")
-    parser.add_argument("--delimiter", help="csv field delimiter (default ,)")
+    parser.add_argument("--delimiter", default=",",
+                        help="csv field delimiter (default ,)")
     parser.add_argument("--defaults", metavar="NAME",
                         help="start from shipped defaults for a named dataset")
 
@@ -116,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(e.g. the training split)")
         if command == "cv":
             p.add_argument("--folds", type=int, default=5, help="fold count")
-        p.add_argument("--out", dest="out_path",
-                       help="write output to this path")
+        p.add_argument("--out", help="write output to this path")
         if command != "train":
             p.add_argument("--text", action="store_true",
                            help="aligned text output instead of JSON")
@@ -143,16 +143,16 @@ def _build_config(args) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _load(config: RunConfig):
+def _load(config: RunConfig, args):
     return load_dataset(config.data_path, config.data_format,
-                        config.label_spec, config.delimiter)
+                        config.label_spec, args.delimiter)
 
 
-def _write_report(args, config: RunConfig, report) -> None:
+def _write_report(args, report) -> None:
     """A command's report, as JSON or --text, to --out or else stdout."""
     text = emit_report(report, "text" if args.text else "json")
-    if config.out_path:
-        Path(config.out_path).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -161,28 +161,28 @@ def _cmd_report(args) -> None:
     config = _build_config(args)
     if args.command == "stream" and config.n_train is None:
         raise ConfigError("n_train is required for a streaming benchmark run")
-    bundle = _load(config)
+    bundle = _load(config, args)
     if args.command == "cv":
         report = run_cv_bundle(config, bundle, args.folds)
     else:
         report = run_stream_split(config, *split(bundle, config.n_train))
-    _write_report(args, config, report)
+    _write_report(args, report)
 
 
 def _cmd_train(args) -> None:
     config = _build_config(args)
-    if not config.out_path:
+    if not args.out:
         raise ConfigError("--out is required: path for the saved model file")
-    bundle = _load(config)
+    bundle = _load(config, args)
     if config.n_train is not None:
         bundle, _ = split(bundle, config.n_train)
     model = train_stream(config, bundle)
     save_model(model.params, model.state, model.threshold, model.norm_stats,
-               config.out_path, seed=config.seed)
+               args.out, seed=config.seed)
     summary = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": config.name(),
-        "model_path": config.out_path,
+        "model_path": args.out,
         "n_samples_trained": model.state.samples_seen,
         "n_epochs": model.n_epochs,
         "threshold": model.threshold,
@@ -194,7 +194,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     config = _build_config(args)
     model = load_model(args.model)
-    bundle = _load(config)
+    bundle = _load(config, args)
     n_labels = model.state.beta.shape[1]
     if bundle.m != n_labels:
         raise ConfigError(
@@ -212,7 +212,7 @@ def _cmd_eval(args) -> None:
                                  model.threshold, model.norm_stats, bundle,
                                  config.min_one)
     metrics = evaluate(preds, bundle.labelsets, bundle.m)
-    _write_report(args, config, {
+    _write_report(args, {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": config.name(),
         "model_path": args.model,
@@ -225,14 +225,14 @@ def _cmd_eval(args) -> None:
 
 def _cmd_stats(args) -> None:
     config = _build_config(args)
-    bundle = _load(config)
+    bundle = _load(config, args)
     stats = dataset_stats(bundle.labelsets, bundle.m)
-    _write_report(args, config, {
+    _write_report(args, {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": config.name(),
-        "n_samples": stats.n_samples,
+        "n_samples": bundle.n_samples,
         "n_features": bundle.n_features,
-        "n_labels": stats.n_labels,
+        "n_labels": bundle.m,
         "label_cardinality": stats.label_cardinality,
         "label_density": stats.label_density,
     })

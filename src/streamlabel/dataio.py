@@ -292,12 +292,15 @@ def load_dataset(path, format: str = "arff", label_spec=None,
     """Parse a dataset file into a DatasetBundle.
 
     format is "arff" or "csv". label_spec identifies the label columns
-    (see module docstring); it is required.
+    (see module docstring); it is required. delimiter, one character,
+    separates a csv file's fields.
     """
     path = str(path)
     problem = _label_spec_problem(label_spec)
     if problem:
         raise DatasetFormatError(problem)
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     if format == "arff":
         names, kinds, rows = _load_arff(path)
     elif format == "csv":
@@ -350,7 +353,7 @@ def load_dataset(path, format: str = "arff", label_spec=None,
                          label_names=tuple(label_names), source=path)
 
 
-def take_rows(bundle: DatasetBundle, indices) -> DatasetBundle:
+def _take_rows(bundle: DatasetBundle, indices) -> DatasetBundle:
     """Bundle restricted to the given rows, in the given order."""
     indices = np.asarray(indices, dtype=int)
     X = bundle.X[indices]  # integer-array indexing makes a new array
@@ -367,7 +370,8 @@ def split(bundle: DatasetBundle, n_train: int):
     if not 0 < n_train < n:
         raise ValueError(
             f"n_train must be in (0, {n}), got {n_train}")
-    return take_rows(bundle, range(n_train)), take_rows(bundle, range(n_train, n))
+    return (_take_rows(bundle, range(n_train)),
+            _take_rows(bundle, range(n_train, n)))
 
 
 def normalize_fit(train: DatasetBundle) -> NormStats:

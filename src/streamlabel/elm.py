@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .numerics import _check_finite, _cholesky, make_rng, mirror_lower
+from .numerics import _check_finite, _cholesky, _make_rng, mirror_lower
 
 # most rows mapped to hidden features at once: every path that maps many rows
 # works one block at a time, so no (n, n_hidden) array is made
@@ -43,7 +43,7 @@ def init_params(n_features: int, n_hidden: int, seed: int) -> ElmParams:
         raise ValueError(
             f"need n_features >= 1 and n_hidden >= 1, "
             f"got ({n_features}, {n_hidden})")
-    rng = make_rng(seed)
+    rng = _make_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(n_hidden, n_features))
     b = rng.uniform(-1.0, 1.0, size=n_hidden)
     W.setflags(write=False)

@@ -20,19 +20,19 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (DatasetBundle, NormStats, _label_spec_problem,
-                     _normalize_rows, normalize_fit, take_rows)
+                     _normalize_rows, _take_rows, normalize_fit)
 from .elm import _MAP_ROWS, ElmParams, init_params, predict_raw
-from .labels import (ThresholdCalib, calibrate_chunk, decode_rows,
-                     label_matrix, threshold_value)
+from .labels import (ThresholdCalib, _threshold_value, calibrate_chunk,
+                     decode_rows, label_matrix)
 from .metrics import MetricsReport, evaluate
-from .numerics import GENERATOR_TAG, _check_finite, make_rng
+from .numerics import _GENERATOR_TAG, _check_finite, _make_rng
 from .online import OselmState, init_phase, look_ahead, update_chunk
 
 REPORT_SCHEMA_VERSION = 1
@@ -56,7 +56,7 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a streaming run needs beyond the dataset file itself.
+    """A run's data file (path, label spec, format, name) and its learner.
 
     Checked when built (and by dataclasses.replace): one ConfigError lists
     every invalid value. A valid config then holds plain Python values: int
@@ -67,7 +67,6 @@ class RunConfig:
     data_path: str
     label_spec: object
     data_format: str = "arff"
-    delimiter: str = ","
     dataset_name: str | None = None
     n_train: int | None = None
     n_hidden: int = 40
@@ -78,7 +77,6 @@ class RunConfig:
     threshold_mode: str = "calibrated"
     min_one: bool = False
     normalize: bool = True
-    out_path: str | None = None
 
     def __post_init__(self):
         problems = []
@@ -159,11 +157,10 @@ class RunReport:
     n_epochs: int
     avg_epoch_s: float
     threshold: float
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "dataset": self.dataset,
             "config": self.config,
             "metrics": self.metrics.as_dict(),
@@ -185,13 +182,12 @@ class CvReport:
     config: dict
     folds: list
     n_folds: int
-    mean: dict = field(default_factory=dict)
-    std: dict = field(default_factory=dict)
-    schema_version: int = REPORT_SCHEMA_VERSION
+    mean: dict
+    std: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "dataset": self.dataset,
             "config": self.config,
             "n_folds": self.n_folds,
@@ -272,7 +268,8 @@ def train_stream(config: RunConfig, train: DatasetBundle) -> TrainedModel:
                          scores=raw)
     seq_s = time.perf_counter() - t0
 
-    threshold = 0.0 if config.threshold_mode == "zero" else threshold_value(calib)
+    threshold = (0.0 if config.threshold_mode == "zero"
+                 else _threshold_value(calib))
     return TrainedModel(params=params, state=state, threshold=threshold,
                         norm_stats=norm_stats, calib=calib, n_epochs=n_epochs,
                         init_s=init_s, seq_s=seq_s)
@@ -321,13 +318,13 @@ def run_stream_split(config: RunConfig, train: DatasetBundle,
                      threshold=model.threshold)
 
 
-def cv_folds(n_samples: int, k: int, seed: int) -> list:
+def _cv_folds(n_samples: int, k: int, seed: int) -> list:
     """Shuffle 0..n-1 with the seed and cut into k contiguous index folds."""
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
     if k > n_samples:
         raise ValueError(f"k={k} folds exceed dataset size {n_samples}")
-    order = make_rng(seed).permutation(n_samples)
+    order = _make_rng(seed).permutation(n_samples)
     return np.array_split(order, k)
 
 
@@ -338,13 +335,13 @@ def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> CvReport:
     folds; each fold serves as the test set exactly once, with fold-local
     normalization and threshold calibration.
     """
-    folds = cv_folds(bundle.n_samples, k, config.seed)
+    folds = _cv_folds(bundle.n_samples, k, config.seed)
     fold_metrics = []
     for i in range(k):
         test_idx = folds[i]
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
-        report = run_stream_split(config, take_rows(bundle, train_idx),
-                                  take_rows(bundle, test_idx))
+        report = run_stream_split(config, _take_rows(bundle, train_idx),
+                                  _take_rows(bundle, test_idx))
         fold_metrics.append(report.metrics)
     keys = ("hamming_loss", "accuracy", "precision", "recall", "f1")
     mean = {}
@@ -426,15 +423,15 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "streamlabel-model",
-        "generator": GENERATOR_TAG,
-        "seed": seed,
+        "generator": _GENERATOR_TAG,
+        "seed": None if seed is None else int(seed),
         "activation": "sigmoid",
         "n_features": params.n_features,
         "n_hidden": params.n_hidden,
         "n_labels": int(state.beta.shape[1]),
         "samples_seen": state.samples_seen,
         "ridge": state.ridge_used,
-        "threshold": threshold,
+        "threshold": None if threshold is None else float(threshold),
         "arrays": arrays,
     }
     doc["checksum"] = _checksum(doc)
@@ -550,13 +547,11 @@ def _scalars(doc: dict, prefix: str):
             yield prefix + key, value
 
 
-def load_dataset_defaults(name: str | None = None) -> dict:
-    """Shipped per-dataset benchmark defaults (hyperparameters and splits)."""
+def load_dataset_defaults(name: str) -> dict:
+    """Shipped benchmark defaults (hyperparameters and split) for a dataset."""
     text = resources.files("streamlabel").joinpath(
         "dataset_defaults.json").read_text(encoding="utf-8")
     defaults = json.loads(text)
-    if name is None:
-        return defaults
     if name not in defaults:
         known = ", ".join(sorted(defaults))
         raise ConfigError(f"no shipped defaults for {name!r} (known: {known})")

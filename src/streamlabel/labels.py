@@ -28,7 +28,6 @@ class ThresholdCalib:
 
     min_pos: float | None = None
     max_neg: float | None = None
-    observations: int = 0
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,6 @@ class DatasetStats:
 
     label_cardinality: float
     label_density: float
-    n_samples: int
-    n_labels: int
 
 
 def _label_indices(labelsets, m: int) -> list:
@@ -93,11 +90,10 @@ def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
     if not truth.all():
         neg = float(np.max(y_raw, where=~truth, initial=-np.inf))
         calib.max_neg = neg if calib.max_neg is None else max(calib.max_neg, neg)
-    calib.observations += y_raw.shape[0]
     return calib
 
 
-def threshold_value(calib: ThresholdCalib) -> float:
+def _threshold_value(calib: ThresholdCalib) -> float:
     """Decoding threshold: midpoint of min positive and max negative score.
 
     Well-defined even when the two populations overlap (min_pos < max_neg).
@@ -145,5 +141,4 @@ def dataset_stats(labelsets, m: int) -> DatasetStats:
     _label_indices(labelsets, m)
     cardinality = sum(len(set(s)) for s in labelsets) / len(labelsets)
     return DatasetStats(label_cardinality=cardinality,
-                        label_density=cardinality / m,
-                        n_samples=len(labelsets), n_labels=m)
+                        label_density=cardinality / m)

@@ -25,8 +25,6 @@ class MetricsReport:
     precision: float
     recall: float
     f1: float
-    n_samples: int
-    n_labels: int
 
     def as_dict(self) -> dict:
         return {
@@ -84,5 +82,4 @@ def evaluate(preds, truths, m: int) -> MetricsReport:
             rec += (inter / n_t) if n_t else 0.0
             f1 += 2 * inter / (n_p + n_t)
     return MetricsReport(hamming_loss=hl / n, accuracy=acc / n,
-                         precision=prec / n, recall=rec / n, f1=f1 / n,
-                         n_samples=n, n_labels=m)
+                         precision=prec / n, recall=rec / n, f1=f1 / n)

@@ -10,7 +10,7 @@ from scipy.linalg import lapack
 
 # Identifies the fixed RNG algorithm so seeds recorded in model files stay
 # portable across builds and platforms.
-GENERATOR_TAG = "numpy-pcg64"
+_GENERATOR_TAG = "numpy-pcg64"
 
 _EPS = np.finfo(np.float64).eps
 
@@ -31,10 +31,10 @@ class SingularMatrixError(ValueError):
         self.pivot = pivot
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def _make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator for a 64-bit seed.
 
-    The algorithm is pinned to PCG64 (see GENERATOR_TAG): identical seeds
+    The algorithm is pinned to PCG64 (see _GENERATOR_TAG): identical seeds
     produce identical draw sequences on every platform.
     """
     return np.random.Generator(np.random.PCG64(seed))

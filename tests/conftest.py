@@ -71,7 +71,7 @@ def dataset_path(name):
 def golden_run_report():
     """Fixed report used for byte-stable emission checks."""
     metrics = MetricsReport(hamming_loss=0.125, accuracy=0.75, precision=0.8,
-                            recall=0.875, f1=0.8125, n_samples=40, n_labels=4)
+                            recall=0.875, f1=0.8125)
     config = {
         "data_path": "data/example.arff",
         "data_format": "arff",

@@ -21,7 +21,8 @@ from streamlabel import (RunConfig, ThresholdCalib, batch_train,
                          emit_report, evaluate, init_params, init_phase,
                          label_matrix, load_dataset, load_model,
                          run_cv_bundle, run_stream_split, save_model, split,
-                         threshold_value, train_stream, update_chunk)
+                         train_stream, update_chunk)
+from streamlabel.labels import _threshold_value
 
 from conftest import (dataset_path, golden_run_report, random_labelsets,
                       separable_bundle, synthetic_bundle)
@@ -205,7 +206,7 @@ def test_acceptance_5_cross_validation_consistency(announce):
               "(floor: 5-fold hamming-loss std <= 0.01)")
     config = _benchmark_config("yeast", yeast)
     bundle = load_dataset(config.data_path, config.data_format,
-                          config.label_spec, config.delimiter)
+                          config.label_spec)
     report = run_cv_bundle(config, bundle, 5)
     std = report.std["hamming_loss"]
     ok = std <= 0.01
@@ -236,7 +237,7 @@ def test_acceptance_6_threshold_correctness(announce):
     for y, truth in zip(scores, truths):
         calibrate_chunk(base, y[None], label_matrix([truth], 3))
         calibrate_chunk(shifted, (y + shift)[None], label_matrix([truth], 3))
-    t0, t1 = threshold_value(base), threshold_value(shifted)
+    t0, t1 = _threshold_value(base), _threshold_value(shifted)
     equivariant = (t1 == t0 + shift) and all(
         decode_rows((y + shift)[None], t1) == decode_rows(y[None], t0)
         for y in scores)

@@ -206,6 +206,30 @@ def test_a_numpy_label_count_reads_the_same_columns_everywhere(
     assert (docs[0]["n_features"], docs[0]["n_labels"]) == (6, 3)
 
 
+
+@pytest.mark.parametrize("labels", ["", " "], ids=["empty", "blank"])
+def test_blank_labels_flag_is_a_usage_error(synth_csv, capsys, labels):
+    # blank names are dropped, so the label_spec rule sees an empty list
+    code = main(["stats", "--data", synth_csv, "--format", "csv",
+                 "--labels", labels])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error[config]: label_spec must be a count >= 1, a path or a "
+        "non-empty list of names, got []\n")
+
+
+@pytest.mark.parametrize("delimiter", ["ab", ""], ids=["two", "none"])
+def test_delimiter_must_be_one_character(synth_csv, capsys, delimiter):
+    message = f"delimiter must be one character, got {delimiter!r}"
+    with pytest.raises(ValueError) as excinfo:
+        load_dataset(synth_csv, "csv", 3, delimiter)
+    assert str(excinfo.value) == message
+    assert not isinstance(excinfo.value, DatasetFormatError)
+    code = main(["stats", "--data", synth_csv, "--format", "csv",
+                 "--labels", "3", "--delimiter", delimiter])
+    assert code == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+
 def test_unknown_defaults_name(capsys):
     code = main(["stream", "--defaults", "mystery"])
     assert code == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from streamlabel import (DatasetBundle, DatasetFormatError, load_dataset,
-                         normalize_fit, split, take_rows)
-from streamlabel.dataio import _normalize_rows
+                         normalize_fit, split)
+from streamlabel.dataio import _normalize_rows, _take_rows
 
 from conftest import synthetic_bundle
 
@@ -393,7 +393,7 @@ def test_split_rejects_degenerate():
 
 def test_take_rows_subset_and_order():
     bundle = synthetic_bundle(8, 2, 2, seed=6)
-    sub = take_rows(bundle, [5, 1])
+    sub = _take_rows(bundle, [5, 1])
     assert np.array_equal(sub.X, bundle.X[[5, 1]])
     assert not np.shares_memory(sub.X, bundle.X)
     assert not sub.X.flags.writeable

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
-                         batch_train, cv_folds, decode_rows, emit_report,
+                         batch_train, decode_rows, emit_report,
                          harness, init_params, hidden_map, init_phase,
                          load_dataset, load_dataset_defaults, load_model,
                          normalize_fit, predict_raw, predict_sets,
@@ -105,10 +105,17 @@ def test_numpy_scalar_config_reports_and_saves_as_json(tmp_path):
     assert docs[0] == docs[1]
     assert docs[0]["config"]["seed"] == 1
     model = train_stream(config, train)
-    path = tmp_path / "model.json"
+    path, numpy_path = tmp_path / "model.json", tmp_path / "numpy.json"
     save_model(model.params, model.state, model.threshold, model.norm_stats,
                path, seed=config.seed)
     assert load_model(path).seed == 1
+    # numpy scalars given to save_model itself are stored as plain numbers
+    save_model(model.params, model.state, np.float64(model.threshold),
+               model.norm_stats, numpy_path, seed=np.int64(1))
+    assert numpy_path.read_bytes() == path.read_bytes()
+    save_model(model.params, model.state, np.float32(0.25), model.norm_stats,
+               numpy_path, seed=np.uint8(1))
+    assert load_model(numpy_path).threshold == 0.25
 
 
 def test_config_requires_label_spec():
@@ -233,7 +240,7 @@ def test_stream_command_matches_split_and_run_stream_split(tmp_path, capsys):
 
 
 def test_cv_folds_partition():
-    folds = cv_folds(10, 5, seed=4)
+    folds = harness._cv_folds(10, 5, seed=4)
     assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
     merged = np.sort(np.concatenate(folds))
     assert np.array_equal(merged, np.arange(10))
@@ -241,9 +248,9 @@ def test_cv_folds_partition():
 
 def test_cv_folds_validation():
     with pytest.raises(ValueError):
-        cv_folds(10, 1, seed=0)
+        harness._cv_folds(10, 1, seed=0)
     with pytest.raises(ValueError):
-        cv_folds(5, 6, seed=0)
+        harness._cv_folds(5, 6, seed=0)
 
 
 def test_cv_bundle_deterministic_and_aggregated():
@@ -545,12 +552,12 @@ def test_emit_report_unknown_format():
 
 
 def test_dataset_defaults_shipped():
-    defaults = load_dataset_defaults()
-    assert set(defaults) == {"yeast", "scene", "corel5k", "enron", "medical"}
     yeast = load_dataset_defaults("yeast")
     assert yeast["label_spec"] == 14
     assert yeast["n_train"] == 1600
-    with pytest.raises(ConfigError, match="known"):
+    # an unknown name lists every shipped one
+    with pytest.raises(ConfigError,
+                       match="known: corel5k, enron, medical, scene, yeast"):
         load_dataset_defaults("mystery")
 
 
@@ -684,7 +691,7 @@ def test_train_stream_look_ahead_matches_per_chunk_loop(monkeypatch):
     for got, want in ((model.calib.min_pos, calib.min_pos),
                       (model.calib.max_neg, calib.max_neg)):
         assert abs(got - want) <= 1e-10 * abs(want)
-    assert model.calib.observations == calib.observations
+    assert model.state.samples_seen == state.samples_seen
 
 
 def test_train_stream_sweeps_m_once_per_block(monkeypatch):

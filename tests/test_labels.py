@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from streamlabel import (ThresholdCalib, calibrate_chunk, dataset_stats,
-                         decode_rows, evaluate, label_matrix, threshold_value)
+                         decode_rows, evaluate, label_matrix)
+from streamlabel.labels import _threshold_value
 
 
 def _bipolar(labelsets, m):
@@ -45,7 +46,6 @@ def test_calibrate_first_observation():
     calibrate_chunk(calib, [[0.9, -0.2]], label_matrix([{0}], 2))
     assert calib.min_pos == 0.9
     assert calib.max_neg == -0.2
-    assert calib.observations == 1
 
 
 def test_calibrate_running_extrema():
@@ -54,18 +54,17 @@ def test_calibrate_running_extrema():
     calibrate_chunk(calib, [[0.4, 0.5]], label_matrix([{1}], 2))
     assert calib.min_pos == 0.5
     assert calib.max_neg == 0.4
-    assert calib.observations == 2
 
 
 def test_calibrate_full_truth_leaves_max_neg():
-    calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3, observations=1)
+    calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3)
     calibrate_chunk(calib, [[0.6, 0.8]], label_matrix([{0, 1}], 2))
     assert calib.min_pos == 0.6
     assert calib.max_neg == -0.3
 
 
 def test_calibrate_empty_truth_leaves_min_pos():
-    calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3, observations=1)
+    calib = ThresholdCalib(min_pos=0.7, max_neg=-0.3)
     calibrate_chunk(calib, [[0.1, -0.9]], label_matrix([set()], 2))
     assert calib.min_pos == 0.7
     assert calib.max_neg == 0.1
@@ -100,18 +99,18 @@ def test_calibrate_monotone_and_order_independent():
 
 
 def test_threshold_value_hand_cases():
-    assert threshold_value(ThresholdCalib(0.6, 0.2, 1)) == pytest.approx(0.4)
+    assert _threshold_value(ThresholdCalib(0.6, 0.2)) == pytest.approx(0.4)
     # overlap still yields the midpoint
-    assert threshold_value(ThresholdCalib(-0.1, 0.3, 1)) == pytest.approx(0.1)
+    assert _threshold_value(ThresholdCalib(-0.1, 0.3)) == pytest.approx(0.1)
     # symmetric scores give the zero threshold
-    assert threshold_value(ThresholdCalib(0.5, -0.5, 1)) == 0.0
+    assert _threshold_value(ThresholdCalib(0.5, -0.5)) == 0.0
 
 
 def test_threshold_value_names_missing_side():
     with pytest.raises(ValueError, match="min_pos"):
-        threshold_value(ThresholdCalib(None, 0.3, 1))
+        _threshold_value(ThresholdCalib(None, 0.3))
     with pytest.raises(ValueError, match="max_neg"):
-        threshold_value(ThresholdCalib(0.3, None, 1))
+        _threshold_value(ThresholdCalib(0.3, None))
 
 
 def test_decode_hand_case():
@@ -146,7 +145,7 @@ def test_perfect_separation_recovers_truth():
                      rng.uniform(1.0, 2.0, m), rng.uniform(-2.0, -1.0, m))
         calibrate_chunk(calib, y[None], label_matrix([truth], m))
         rows.append((y, truth))
-    t = threshold_value(calib)
+    t = _threshold_value(calib)
     preds = decode_rows(np.stack([y for y, _ in rows]), t)
     report = evaluate(preds, [truth for _, truth in rows], m)
     assert report.hamming_loss == 0.0
@@ -159,8 +158,8 @@ def test_threshold_shift_equivariance_exact():
     shift = 2.0
     base = calibrate_chunk(ThresholdCalib(), scores, truth)
     shifted = calibrate_chunk(ThresholdCalib(), scores + shift, truth)
-    t0 = threshold_value(base)
-    t1 = threshold_value(shifted)
+    t0 = _threshold_value(base)
+    t1 = _threshold_value(shifted)
     assert t1 == t0 + shift
     assert decode_rows(scores + shift, t1) == decode_rows(scores, t0)
 
@@ -169,8 +168,6 @@ def test_dataset_stats_hand_case():
     stats = dataset_stats([{0}, {0, 1}, {1, 2}], 3)
     assert stats.label_cardinality == pytest.approx(5.0 / 3.0)
     assert stats.label_density == pytest.approx(5.0 / 9.0)
-    assert stats.n_samples == 3
-    assert stats.n_labels == 3
 
 
 def test_dataset_stats_singletons():
@@ -238,7 +235,6 @@ def _fold_rows_oracle(calib, y_raw, truth):
         if neg:
             calib.max_neg = max(neg + ([] if calib.max_neg is None
                                        else [calib.max_neg]))
-        calib.observations += 1
     return calib
 
 
@@ -254,11 +250,10 @@ def test_calibrate_chunk_equals_row_by_row_fold():
         y = rng.normal(size=truth.shape)
         calibrate_chunk(chunked, y, truth)
         _fold_rows_oracle(oracle, y, truth)
-        assert (chunked.min_pos, chunked.max_neg, chunked.observations) == \
-            (oracle.min_pos, oracle.max_neg, oracle.observations)
+        assert (chunked.min_pos, chunked.max_neg) == \
+            (oracle.min_pos, oracle.max_neg)
         if truth is chunks[0]:
             assert chunked.min_pos is None and chunked.max_neg is not None
-    assert chunked.observations == 48
 
 
 def test_calibrate_chunk_validates_shapes():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from streamlabel import GENERATOR_TAG, SingularMatrixError, make_rng
-from streamlabel.numerics import _cholesky, mirror_lower
+from streamlabel import SingularMatrixError
+from streamlabel.numerics import (_GENERATOR_TAG, _cholesky, _make_rng,
+                                  mirror_lower)
 
 _SINGULAR = "gain: matrix is singular (pivot {pivot})"
 
@@ -58,8 +59,8 @@ def test_solve_rejects_singular_gram():
 
 
 def test_generator_tag_is_stable():
-    assert GENERATOR_TAG == "numpy-pcg64"
-    r = make_rng(5)
+    assert _GENERATOR_TAG == "numpy-pcg64"
+    r = _make_rng(5)
     assert r.bit_generator.state["bit_generator"] == "PCG64"
 
 

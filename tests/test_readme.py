@@ -38,3 +38,11 @@ def test_readme_custom_loops_match_batch():
     want = sl.batch_train(params, X, Y)
     assert (np.linalg.norm(state.beta - want)
             <= 1e-6 * np.linalg.norm(want))
+
+
+def test_readme_python_api_names_every_export():
+    section = README.read_text().split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    missing = [name for name in sl.__all__
+               if not re.search(rf"(?:`|\bsl\.){name}\b", section)]
+    assert not missing, f"README's Python API section lacks {missing}"
