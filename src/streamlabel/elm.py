@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .numerics import _check_finite, _cholesky, _make_rng, mirror_lower
+from .numerics import _check_finite, _cholesky, _make_rng
 
 # most rows mapped to hidden features at once: every path that maps many rows
 # works one block at a time, so no (n, n_hidden) array is made
@@ -81,13 +81,13 @@ def hidden_map(params: ElmParams, X) -> np.ndarray:
 
 def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str,
                       singular: str):
-    """Checked lower Cholesky factor of H'H + ridge*I, and H'Y, for X's rows H.
+    """(factor, beta): the lower Cholesky factor of H'H + ridge*I, and beta.
 
-    Both least-squares solves, batch_train and online.init_phase, take their
-    factor here. Each block of at most _MAP_ROWS rows of X and Y is checked
-    finite and added to the Gram matrix with one dsyrk and to H'Y with one
-    product, so no (n, n_hidden) array is made. The Gram matrix is factored,
-    F-ordered, in its own memory by numerics._cholesky(who, singular).
+    The one batch solve, so batch_train and online.init_phase get the same
+    beta bits. Each block of at most _MAP_ROWS rows of X and Y is checked
+    finite and added to the F-ordered Gram matrix with one dsyrk and to H'Y
+    with one product, so no (n, n_hidden) array is made. The Gram matrix is
+    factored in its own memory by numerics._cholesky(who, singular).
     """
     if not 0.0 <= ridge < np.inf:  # also false for NaN
         raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
@@ -97,22 +97,20 @@ def _normal_equations(params: ElmParams, X, Y, ridge: float, who: str,
         raise ValueError(
             f"target shape {Y.shape} does not match {X.shape[0]} samples")
     L = params.n_hidden
-    gram = np.zeros((L, L))
+    # dsyrk sums H'H into the lower triangle, the one _cholesky reads
+    gram = np.zeros((L, L)).T
     HY = np.zeros((L, Y.shape[1]))
     for i in range(0, len(X), _MAP_ROWS):
         Xb, Yb = X[i:i + _MAP_ROWS], Y[i:i + _MAP_ROWS]
         _check_finite(who, "X", Xb, i)
         _check_finite(who, "Y", Yb, i)
         H = hidden_map(params, Xb)
-        # H.T and gram.T are F-ordered views, so dsyrk reads H and adds H'H
-        # to gram's lower triangle in gram's own memory
-        blas.dsyrk(1.0, H.T, beta=1.0, c=gram.T, overwrite_c=1)
+        # H.T is an F-ordered view, so dsyrk reads H without a copy
+        blas.dsyrk(1.0, H.T, beta=1.0, c=gram, lower=1, overwrite_c=1)
         HY += H.T @ Yb
     gram[np.diag_indices_from(gram)] += ridge
-    mirror_lower(gram)
-    # gram is exactly symmetric, so its F-ordered view gram.T is the same
-    # matrix and LAPACK factors it without a copy
-    return _cholesky(gram.T, who, singular), HY
+    factor = _cholesky(gram, who, singular)
+    return factor, lapack.dpotrs(factor, HY, lower=1)[0]
 
 
 def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
@@ -123,11 +121,10 @@ def batch_train(params: ElmParams, X, Y_bip, ridge: float = 0.0) -> np.ndarray:
     (typically n_samples >= n_hidden); rank deficiency raises
     SingularMatrixError instead of silently regularizing.
     """
-    factor, HY = _normal_equations(
+    return _normal_equations(
         params, X, Y_bip, ridge, "batch_train",
         "batch_train: H'H is singular (pivot {pivot}); "
-        "H is rank deficient, pass ridge > 0 or add rows")
-    return lapack.dpotrs(factor, HY, lower=1)[0]
+        "H is rank deficient, pass ridge > 0 or add rows")[1]
 
 
 def predict_raw(params: ElmParams, beta, X) -> np.ndarray:

@@ -386,18 +386,35 @@ def _decode_array(obj, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def _header_int(doc: dict, key: str) -> int:
-    # exactly a JSON integer: int() would truncate 5.7 and accept true
-    if type(doc[key]) is not int:
-        raise ValueError(f"field {key!r} must be an integer, got {doc[key]!r}")
-    return doc[key]
+def _header_field(doc: dict, key: str, least=None, number=False):
+    # exactly a JSON integer, or a finite number: int() would truncate 5.7,
+    # float() would accept "0.5", and both would accept true
+    value = doc[key]
+    if type(value) is not int and not (number and isinstance(value, float)):
+        kind = "a number" if number else "an integer"
+        raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"field {key!r} is {value}")
+    if least is not None and value < least:
+        raise ValueError(f"need {key} >= {least}, got {key}={value}")
+    return float(value) if number else value
 
 
-def _header_number(doc: dict, key: str) -> float:
-    # exactly a JSON number: float() would accept true and "0.5"
-    if type(doc[key]) not in (int, float):
-        raise ValueError(f"field {key!r} must be a number, got {doc[key]!r}")
-    return float(doc[key])
+def _header_fields(doc: dict) -> tuple:
+    """The one header rule of save_model and load_model.
+
+    Returns (n_features, n_hidden, n_labels, samples_seen, ridge, threshold,
+    seed). A missing field raises KeyError, a bad one ValueError naming it.
+    """
+    if doc["activation"] != "sigmoid":
+        raise ValueError(f"unsupported activation {doc['activation']!r}")
+    return (*(_header_field(doc, k, 1)
+              for k in ("n_features", "n_hidden", "n_labels")),
+            _header_field(doc, "samples_seen", 0),
+            _header_field(doc, "ridge", 0, number=True),
+            None if doc.get("threshold") is None
+            else _header_field(doc, "threshold", number=True),
+            None if doc.get("seed") is None else _header_field(doc, "seed"))
 
 
 def _checksum(doc: dict) -> str:
@@ -411,15 +428,9 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
 
     Arrays are stored as base64 little-endian float64 bytes, so a reload
     reproduces the saved predictor bit for bit and can resume streaming.
+    A header load_model would refuse raises ValueError naming the field, and
+    nothing is written.
     """
-    arrays = {
-        "W": _encode_array(params.W),
-        "b": _encode_array(params.b),
-        "beta": _encode_array(state.beta),
-        "M": _encode_array(state.M),
-        "norm_min": _encode_array(norm_stats.min_) if norm_stats else None,
-        "norm_max": _encode_array(norm_stats.max_) if norm_stats else None,
-    }
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": "streamlabel-model",
@@ -432,7 +443,15 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
         "samples_seen": state.samples_seen,
         "ridge": state.ridge_used,
         "threshold": None if threshold is None else float(threshold),
-        "arrays": arrays,
+    }
+    _header_fields(doc)
+    doc["arrays"] = {
+        "W": _encode_array(params.W),
+        "b": _encode_array(params.b),
+        "beta": _encode_array(state.beta),
+        "M": _encode_array(state.M),
+        "norm_min": _encode_array(norm_stats.min_) if norm_stats else None,
+        "norm_max": _encode_array(norm_stats.max_) if norm_stats else None,
     }
     doc["checksum"] = _checksum(doc)
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
@@ -471,30 +490,13 @@ def load_model(path) -> LoadedModel:
     # the checksum proves only that the body was not edited by accident;
     # the structure is checked field by field before any array is used
     try:
-        if doc["activation"] != "sigmoid":
-            raise ValueError(f"unsupported activation {doc['activation']!r}")
-        n_features, n_hidden, n_labels, samples_seen = (
-            _header_int(doc, k)
-            for k in ("n_features", "n_hidden", "n_labels", "samples_seen"))
-        ridge = _header_number(doc, "ridge")
-        threshold = doc.get("threshold")
-        threshold = (None if threshold is None
-                     else _header_number(doc, "threshold"))
-        seed = doc.get("seed")
-        seed = None if seed is None else _header_int(doc, "seed")
-        arrays = doc["arrays"]
+        (n_features, n_hidden, n_labels, samples_seen, ridge, threshold,
+         seed) = _header_fields(doc)
     except KeyError as err:
         raise ModelFormatError(f"{path}: missing field {err}") from err
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ModelFormatError(f"{path}: malformed header: {err}") from err
-    for key, value in (("ridge", ridge), ("threshold", threshold)):
-        if value is not None and not math.isfinite(value):
-            raise ModelFormatError(f"{path}: field {key!r} is {value}")
-    if min(n_features, n_hidden, n_labels) < 1 or min(samples_seen, ridge) < 0:
-        raise ModelFormatError(
-            f"{path}: need dimensions >= 1, samples_seen and ridge >= 0, got "
-            f"n_features={n_features}, n_hidden={n_hidden}, "
-            f"n_labels={n_labels}, samples_seen={samples_seen}, ridge={ridge}")
+    arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
         raise ModelFormatError(f"{path}: field 'arrays' is not an object")
 

@@ -1,8 +1,9 @@
 """Dense matrix primitives: checked Cholesky factor, finite rows, seeded RNG.
 
 Matrices throughout the package are 2-D float64 numpy arrays (row-major).
-All solves and inverses go through one private checked Cholesky step, fed
-exactly symmetric matrices; indefinite or singular ones raise an error.
+All solves and inverses go through one private checked Cholesky step, which
+factors one triangle of an F-ordered matrix; indefinite or singular ones
+raise an error.
 """
 
 import numpy as np
@@ -63,9 +64,10 @@ def mirror_lower(A) -> None:
 
 
 def _cholesky(A, who: str, singular: str) -> np.ndarray:
-    """Checked lower Cholesky factor of exactly symmetric, F-ordered A, in A.
+    """Checked lower Cholesky factor of F-ordered A, in A's memory.
 
-    A NaN or inf entry raises ValueError; a non-positive pivot, or one under
+    The factor reads A's lower triangle only; the checks read all of A. A
+    NaN or inf entry raises ValueError; a non-positive pivot, or one under
     64 n eps times A's largest magnitude, raises SingularMatrixError with
     the message ``singular.format(pivot=p)``.
     """

@@ -130,14 +130,14 @@ def _fold(state: OselmState) -> None:
 
 
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
-    """Solve the initial block: M = (H0'H0 + ridge*I)^-1, beta = M H0' Y0.
+    """Solve the initial block: batch_train's beta, M = (H0'H0 + ridge*I)^-1.
 
-    H0'H0 and H0'Y0 are summed over blocks of rows, so H0 is never held
-    whole, and factored by the same step as in batch_train. With ridge 0
-    the block must make H0'H0 invertible, which in practice means at least
-    n_hidden samples.
+    beta is batch_train's bit for bit, from the one solve, whose factor M
+    inverts; it sums H0'H0 and H0'Y0 over blocks of rows, so H0 is never
+    held whole. With ridge 0 the block must make H0'H0 invertible, which in
+    practice means at least n_hidden samples.
     """
-    factor, HY = _normal_equations(
+    factor, beta = _normal_equations(
         params, X0, Y0_bip, ridge, "init_phase",
         "init_phase: initial Gram matrix is singular (pivot {pivot}); "
         f"use a larger initial block (>= {params.n_hidden} samples) "
@@ -149,8 +149,6 @@ def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:
         raise ValueError(f"init_phase: inversion failed (info={info})")
     mirror_lower(inv)
     M = inv.T
-    # M is needed anyway, and one product is faster than a dpotrs solve
-    beta = M @ HY
     return OselmState(beta=beta, M=M, samples_seen=len(X0),
                       ridge_used=float(ridge))
 
@@ -278,13 +276,13 @@ def _announce(state: OselmState, X, H) -> _LookAhead:
     _fold(state)
     state._ahead = None
     P = H @ M
-    # K = I + P H' is symmetric only up to roundoff: average it with its
-    # transpose in place, which gives the bits of 0.5 * (K + K.T)
-    K = P @ H.T
-    K += K.T
-    K *= 0.5
+    # K = I + H P' is factored as formed, from the lower triangle of its
+    # F-ordered view K.T, in K's memory: P[i] H[j]' for j <= i, each row's
+    # own projection, as U = F^-1 P solves it. With P[j] H[i]' the stiff
+    # streams of tests/test_online.py end 2.7x further from lstsq announced
+    # than chunk by chunk (two BLAS threads); with this triangle, 0.4x
+    K = H @ P.T
     K[np.diag_indices_from(K)] += 1.0
-    # K is exactly symmetric, so it is factored in its own memory
     F = _cholesky(K.T, "look_ahead",
                   "look_ahead: gain matrix is singular (pivot {pivot})")
     U = _solve_lower(F, P)

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.io import arff
 
 from streamlabel import (DatasetBundle, DatasetFormatError, load_dataset,
                          normalize_fit, split)
@@ -464,3 +465,32 @@ def test_normalize_bits_match_two_step_formula():
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, bundle.X)
     assert np.all(_normalize_rows(stats, test.X)[:, 2] == 0.0)
+
+
+def test_dense_arff_matches_the_scipy_reader(tmp_path):
+    # a differential oracle: scipy.io.arff reads dense files (not sparse
+    # rows), so a planted yeast-shaped file must load with the same feature
+    # bits and label sets. Cells mix full-precision, short, exponent and
+    # integer spellings of signed reals
+    rng = np.random.default_rng(61)
+    n, d, m = 300, 103, 14
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-4, 5, size=d)
+    Y = rng.random((n, m)) < 0.3
+    spell = (repr, "{:.6g}".format, "{:.3e}".format, lambda v: str(round(v)))
+    lines = ["@relation yeastlike"]
+    lines += [f"@attribute f{j} numeric" for j in range(d)]
+    lines += [f"@attribute l{j} {{0,1}}" for j in range(m)]
+    lines.append("@data")
+    for x, y in zip(X.tolist(), Y):
+        cells = [spell[j % 4](v) for j, v in enumerate(x)]
+        lines.append(",".join(cells + ["1" if b else "0" for b in y]))
+    path = tmp_path / "yeastlike.arff"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bundle = load_dataset(path, format="arff", label_spec=m)
+    data, _ = arff.loadarff(path)
+    want_X = np.column_stack([data[f"f{j}"] for j in range(d)])
+    want_sets = tuple(frozenset(j for j in range(m) if row[d + j] == b"1")
+                      for row in data)
+    assert bundle.X.dtype == want_X.dtype == np.float64
+    assert np.array_equal(bundle.X, want_X)
+    assert bundle.labelsets == want_sets

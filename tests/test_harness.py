@@ -468,6 +468,32 @@ def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
         load_model(path)
 
 
+@pytest.mark.parametrize("threshold,state_field,value,match", [
+    (math.nan, None, None, "^field 'threshold' is nan$"),
+    (math.inf, None, None, "^field 'threshold' is inf$"),
+    (0.0, "ridge_used", math.nan, "^field 'ridge' is nan$"),
+    (0.0, "ridge_used", -math.inf, "^field 'ridge' is -inf$"),
+    (0.0, "samples_seen", 12.0,
+     "^field 'samples_seen' must be an integer, got 12.0$"),
+    (0.0, "samples_seen", np.int64(12),
+     "^field 'samples_seen' must be an integer, got "),
+    (0.0, "beta", np.zeros((6, 0)), "^need n_labels >= 1, got n_labels=0$"),
+], ids=["threshold-nan", "threshold-inf", "ridge-nan", "ridge-inf",
+        "samples_seen-float", "samples_seen-numpy", "no-labels"])
+def test_save_model_refuses_a_header_load_model_refuses(
+        tmp_path, threshold, state_field, value, match):
+    params = init_params(4, 6, seed=7)
+    rng = np.random.default_rng(8)
+    state = init_phase(params, rng.uniform(size=(12, 4)),
+                       np.where(rng.integers(0, 2, (12, 2)) == 1, 1.0, -1.0))
+    if state_field is not None:
+        setattr(state, state_field, value)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=match):
+        save_model(params, state, threshold, None, path)
+    assert not path.exists()
+
+
 def test_resume_streaming_matches_never_saved(tmp_path):
     rng = np.random.default_rng(40)
     X = rng.uniform(size=(220, 6))
@@ -802,17 +828,18 @@ def test_train_stream_factors_each_gain_once_per_block(monkeypatch):
                           + (["announce", "fold", "factor"] + block) * 19)
 
 
-def test_every_factored_matrix_is_exactly_symmetric(monkeypatch):
-    # the factor trusts its callers to hand it an exactly symmetric matrix:
-    # both solves' Gram matrices and the gain of announced and unannounced
-    # chunks
+def test_factored_matrices_are_f_ordered_and_never_symmetrized(monkeypatch):
+    # the factor reads the lower triangle of an F-ordered matrix, so nothing
+    # is made symmetric for it: both solves' Gram matrices keep a zero upper
+    # triangle, and the gain of announced and unannounced chunks is factored
+    # as formed, with its rounding-level asymmetry
     import streamlabel.elm as elm
     import streamlabel.online as online
     real, factored = online._cholesky, []
 
     def checked(A, who, singular):
-        assert np.array_equal(A, A.T), who
-        factored.append(who)
+        assert A.flags.f_contiguous, who
+        factored.append((who, A.copy()))
         return real(A, who, singular)
 
     monkeypatch.setattr(elm, "_cholesky", checked)
@@ -824,9 +851,19 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch):
     batch_train(model.params, X, Y)
     # rows that were never announced: update_chunk announces them itself
     update_chunk(model.state, model.params, X[:5], Y[:5])
-    assert factored[0] == "init_phase"
-    assert set(factored[1:-2]) == {"look_ahead"}
-    assert factored[-2:] == ["batch_train", "look_ahead"]
+    who = [w for w, _ in factored]
+    assert who[0] == "init_phase"
+    assert set(who[1:-2]) == {"look_ahead"}
+    assert who[-2:] == ["batch_train", "look_ahead"]
+    for (_, A), rows in zip((factored[0], factored[-2]), (X[:40], X)):
+        H = hidden_map(model.params, rows)
+        assert not np.triu(A, 1).any()
+        assert np.allclose(np.tril(A), np.tril(H.T @ H), rtol=0,
+                           atol=1e-12 * np.abs(A).max())
+    gains = [A for w, A in factored if w == "look_ahead"]
+    assert not all(np.array_equal(A, A.T) for A in gains)
+    for A in gains:
+        assert np.allclose(A, A.T, rtol=0, atol=1e-10 * np.abs(A).max())
 
 
 @pytest.mark.parametrize("normalize", [True, False])

@@ -77,8 +77,7 @@ def test_cholesky_spd_factor_and_errors():
     B = np.random.default_rng(14).normal(size=(6, 6))
     A = B @ B.T + 6.0 * np.eye(6)
     kept = A.copy()
-    # a symmetric A's F-ordered view A.T is the same matrix: it is factored
-    # in A's own memory
+    # the F-ordered view A.T is factored in A's own memory
     F = _cholesky(A.T, "gain", _SINGULAR)
     assert np.shares_memory(F, A)
     F = np.tril(F)
@@ -91,6 +90,19 @@ def test_cholesky_spd_factor_and_errors():
         with pytest.raises(ValueError,
                            match="^gain: matrix has a NaN or infinite entry$"):
             _factor(np.diag([1.0, bad]))
+
+
+def test_cholesky_reads_only_the_lower_triangle_but_checks_all_of_a():
+    B = np.random.default_rng(15).normal(size=(70, 70))
+    A = np.asfortranarray(B @ B.T + 70.0 * np.eye(70))
+    want = np.tril(_factor(A))
+    for upper in (0.0, 1e3):
+        half = np.tril(A) + np.triu(np.full_like(A, upper), 1)
+        assert np.array_equal(np.tril(_factor(half)), want)
+    half[3, 60] = np.nan
+    with pytest.raises(ValueError,
+                       match="^gain: matrix has a NaN or infinite entry$"):
+        _factor(half)
 
 
 def test_cholesky_spd_rejects_a_pivot_lapack_accepts():

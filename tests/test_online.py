@@ -26,12 +26,20 @@ def test_init_phase_zero_targets():
     assert st.samples_seen == 50
 
 
-def test_init_phase_matches_batch():
-    p = init_params(8, 10, seed=2)
-    X, Y = _stream(3, n=50)
+@pytest.mark.parametrize("L", [40, 300, 1000])
+def test_init_phase_beta_is_batch_train_bit_for_bit(L, monkeypatch):
+    # one solve of the normal equations gives both betas, and init_phase
+    # mirrors only its inverse, M. Wide rows, as in the stream-wide shape,
+    # keep H'H well conditioned
+    d = 8 + L // 3
+    p = init_params(d, L, seed=L)
+    X, Y = _stream(L, n=3 * L // 2, d=d)
+    real, mirrored = online.mirror_lower, []
+    monkeypatch.setattr(online, "mirror_lower",
+                        lambda A: mirrored.append(A) or real(A))
     st = init_phase(p, X, Y)
-    beta = batch_train(p, X, Y)
-    assert np.max(np.abs(st.beta - beta)) <= 1e-10
+    assert np.array_equal(st.beta, batch_train(p, X, Y))
+    assert len(mirrored) == 1 and np.shares_memory(mirrored[0], st.M)
 
 
 def test_init_phase_rank_deficient_guard():
