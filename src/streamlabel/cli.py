@@ -226,15 +226,13 @@ def _cmd_eval(args) -> None:
 def _cmd_stats(args) -> None:
     config = _build_config(args)
     bundle = _load(config, args)
-    stats = dataset_stats(bundle.labelsets, bundle.m)
     _write_report(args, {
         "schema_version": REPORT_SCHEMA_VERSION,
         "dataset": config.name(),
         "n_samples": bundle.n_samples,
         "n_features": bundle.n_features,
         "n_labels": bundle.m,
-        "label_cardinality": stats.label_cardinality,
-        "label_density": stats.label_density,
+        **dataset_stats(bundle.labelsets, bundle.m),
     })
 
 

@@ -12,6 +12,12 @@ Training time covers normalizing and solving the initial block and the
 sequential phase; test time covers the finite-row check, normalizing, raw
 prediction and decoding. Data loading, the training rows' finite check and
 the normalization fit (each feature's min and max) are excluded from both.
+
+Results are JSON documents: run_cv_bundle returns its document as a dict,
+as the CLI's other commands build theirs. RunReport, MetricsReport,
+TrainedModel and LoadedModel stay classes because the benchmark
+(perfbench/) reads their attributes, such as report.metrics and
+model.state.beta; emit_report renders a RunReport or a dict.
 """
 
 import base64
@@ -175,29 +181,6 @@ class RunReport:
 
 
 @dataclass
-class CvReport:
-    """Per-fold metrics with their mean and sample standard deviation."""
-
-    dataset: str
-    config: dict
-    folds: list
-    n_folds: int
-    mean: dict
-    std: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "dataset": self.dataset,
-            "config": self.config,
-            "n_folds": self.n_folds,
-            "folds": [m.as_dict() for m in self.folds],
-            "mean": self.mean,
-            "std": self.std,
-        }
-
-
-@dataclass
 class TrainedModel:
     """Output of the streaming training phase, ready to predict or persist."""
 
@@ -285,10 +268,15 @@ def predict_sets(params: ElmParams, beta, threshold: float,
     """Decode one label set per bundle row; returns (label sets, seconds).
 
     Rows are checked finite, normalized, mapped and decoded one block of
-    _MAP_ROWS at a time, and the seconds cover all four. A NaN or inf
-    feature raises ValueError naming its bundle row. A bundle with no rows
-    is one empty block, so its shapes are still checked.
+    _MAP_ROWS at a time, and the seconds cover all four. A beta whose label
+    count is not the bundle's raises ValueError, and so does a NaN or inf
+    feature, naming its bundle row. A bundle with no rows is one empty
+    block, so its shapes are still checked.
     """
+    if np.shape(beta)[1:] != (bundle.m,):
+        raise ValueError(
+            f"predict_sets: beta has shape {np.shape(beta)}, but the bundle "
+            f"has {bundle.m} labels")
     t0 = time.perf_counter()
     preds = []
     for start in range(0, max(len(bundle.X), 1), _MAP_ROWS):
@@ -328,12 +316,13 @@ def _cv_folds(n_samples: int, k: int, seed: int) -> list:
     return np.array_split(order, k)
 
 
-def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> CvReport:
+def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> dict:
     """Seeded k-fold cross-validation of the full streaming pipeline.
 
     Rows are shuffled once with the config seed and cut into k contiguous
     folds; each fold serves as the test set exactly once, with fold-local
-    normalization and threshold calibration.
+    normalization and threshold calibration. Returns the CV document: each
+    fold's metrics with their mean and sample standard deviation.
     """
     folds = _cv_folds(bundle.n_samples, k, config.seed)
     fold_metrics = []
@@ -342,16 +331,18 @@ def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> CvReport:
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
         report = run_stream_split(config, _take_rows(bundle, train_idx),
                                   _take_rows(bundle, test_idx))
-        fold_metrics.append(report.metrics)
-    keys = ("hamming_loss", "accuracy", "precision", "recall", "f1")
-    mean = {}
-    std = {}
-    for key in keys:
-        values = np.array([getattr(m, key) for m in fold_metrics])
-        mean[key] = float(values.mean())
-        std[key] = float(values.std(ddof=1))
-    return CvReport(dataset=config.name(), config=config_echo(config),
-                    folds=fold_metrics, n_folds=k, mean=mean, std=std)
+        fold_metrics.append(report.metrics.as_dict())
+    values = {key: np.array([m[key] for m in fold_metrics])
+              for key in fold_metrics[0]}
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "dataset": config.name(),
+        "config": config_echo(config),
+        "n_folds": k,
+        "folds": fold_metrics,
+        "mean": {key: float(v.mean()) for key, v in values.items()},
+        "std": {key: float(v.std(ddof=1)) for key, v in values.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +515,7 @@ def load_model(path) -> LoadedModel:
 # report emission
 
 def emit_report(report, format: str = "json") -> str:
-    """Render a RunReport, a CvReport or a command's plain document (a dict).
+    """Render a RunReport or a command's plain document (a dict).
 
     "json" is the document itself, machine-stable. "text" is one aligned
     ``key  value`` line per scalar: a nested object's keys print as

@@ -10,6 +10,7 @@ decode_rows turns a score matrix back into label sets. A single sample is a
 one-row matrix: label_matrix([s], m), decode_rows(y[None], t)[0].
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -28,14 +29,6 @@ class ThresholdCalib:
 
     min_pos: float | None = None
     max_neg: float | None = None
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    """Multi-labelness summary: mean labels per sample and its density."""
-
-    label_cardinality: float
-    label_density: float
 
 
 def _label_indices(labelsets, m: int) -> list:
@@ -114,8 +107,12 @@ def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
     argmax position (lowest index on ties, its first NaN if it has one) so
     every sample gets at least one label. The hit mask is scanned once: its
     flat indices, row-major, give each member's column (index mod m), and
-    a binary search for the row boundaries j*m cuts them into rows.
+    a binary search for the row boundaries j*m cuts them into rows. A NaN
+    or infinite threshold raises ValueError, as it would decide nothing.
     """
+    if not math.isfinite(threshold):
+        raise ValueError(
+            f"decode_rows: threshold must be finite, got {float(threshold)}")
     y_raw = np.asarray(y_raw, dtype=np.float64)
     if y_raw.ndim != 2:
         raise ValueError(f"y_raw must be a matrix, got ndim={y_raw.ndim}")
@@ -131,8 +128,8 @@ def decode_rows(y_raw, threshold: float, min_one: bool = False) -> list:
     return sets
 
 
-def dataset_stats(labelsets, m: int) -> DatasetStats:
-    """Label cardinality (mean set size) and density (cardinality / m)."""
+def dataset_stats(labelsets, m: int) -> dict:
+    """{"label_cardinality": mean set size, "label_density": that / m}."""
     labelsets = list(labelsets)
     if not labelsets:
         raise ValueError("dataset_stats: empty label-set sequence")
@@ -140,5 +137,5 @@ def dataset_stats(labelsets, m: int) -> DatasetStats:
         raise ValueError(f"label space must have m >= 1, got {m}")
     _label_indices(labelsets, m)
     cardinality = sum(len(set(s)) for s in labelsets) / len(labelsets)
-    return DatasetStats(label_cardinality=cardinality,
-                        label_density=cardinality / m)
+    return {"label_cardinality": cardinality,
+            "label_density": cardinality / m}

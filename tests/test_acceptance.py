@@ -124,26 +124,28 @@ def test_acceptance_3_dataset_statistics(announce):
     if yeast and scene:
         ys = dataset_stats(load_dataset(yeast, "arff", 14).labelsets, 14)
         ss = dataset_stats(load_dataset(scene, "arff", 6).labelsets, 6)
-        ok = (abs(ys.label_cardinality - 4.24) <= 0.005
-              and abs(ys.label_density - 0.303) <= 0.001
-              and abs(ss.label_cardinality - 1.07) <= 0.005
-              and abs(ss.label_density - 0.178) <= 0.001)
+        ok = (abs(ys["label_cardinality"] - 4.24) <= 0.005
+              and abs(ys["label_density"] - 0.303) <= 0.001
+              and abs(ss["label_cardinality"] - 1.07) <= 0.005
+              and abs(ss["label_density"] - 0.178) <= 0.001)
         _verdict(announce, 3, "dataset statistics", ok,
-                 f"yeast LC={ys.label_cardinality:.4f} LD={ys.label_density:.4f}, "
-                 f"scene LC={ss.label_cardinality:.4f} LD={ss.label_density:.4f}")
+                 f"yeast LC={ys['label_cardinality']:.4f} "
+                 f"LD={ys['label_density']:.4f}, "
+                 f"scene LC={ss['label_cardinality']:.4f} "
+                 f"LD={ss['label_density']:.4f}")
         assert ok
         return
     # dataset files absent: substituting the exhaustive hand-fixture checks
     stats = dataset_stats([{0}, {0, 1}, {1, 2}], 3)
-    ok = (stats.label_cardinality == pytest.approx(5.0 / 3.0)
-          and stats.label_density == pytest.approx(5.0 / 9.0))
+    ok = (stats["label_cardinality"] == pytest.approx(5.0 / 3.0)
+          and stats["label_density"] == pytest.approx(5.0 / 9.0))
     all_subsets = [frozenset(s) for r in range(4)
                    for s in itertools.combinations(range(3), r)]
     exhaustive = dataset_stats(all_subsets, 3)
     total = sum(len(s) for s in all_subsets)
-    ok = ok and exhaustive.label_cardinality == total / len(all_subsets)
-    ok = ok and exhaustive.label_density == total / len(all_subsets) / 3
-    ok = ok and dataset_stats([{0}, {1}, {2}], 3).label_cardinality == 1.0
+    ok = ok and exhaustive["label_cardinality"] == total / len(all_subsets)
+    ok = ok and exhaustive["label_density"] == total / len(all_subsets) / 3
+    ok = ok and dataset_stats([{0}, {1}, {2}], 3)["label_cardinality"] == 1.0
     _verdict(announce, 3, "dataset statistics", ok,
              "yeast/scene files absent; substituted exhaustive hand-fixture "
              "checks (all 8 subsets of 3 labels plus hand cases)")
@@ -208,10 +210,10 @@ def test_acceptance_5_cross_validation_consistency(announce):
     bundle = load_dataset(config.data_path, config.data_format,
                           config.label_spec)
     report = run_cv_bundle(config, bundle, 5)
-    std = report.std["hamming_loss"]
+    std = report["std"]["hamming_loss"]
     ok = std <= 0.01
     _verdict(announce, 5, "cross-validation consistency", ok,
-             f"yeast 5-fold HL mean={report.mean['hamming_loss']:.4f} "
+             f"yeast 5-fold HL mean={report['mean']['hamming_loss']:.4f} "
              f"std={std:.5f} (limit 0.01)")
     assert ok
 

@@ -258,15 +258,17 @@ def test_cv_bundle_deterministic_and_aggregated():
     config = _config(n_hidden=12, n_init=24, chunk_size=5)
     a = run_cv_bundle(config, bundle, 4)
     b = run_cv_bundle(config, bundle, 4)
-    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
-    assert a.n_folds == 4
-    assert len(a.folds) == 4
-    hl = [m.hamming_loss for m in a.folds]
-    assert a.mean["hamming_loss"] == pytest.approx(np.mean(hl))
-    assert a.std["hamming_loss"] == pytest.approx(np.std(hl, ddof=1))
-    doc = a.to_json_dict()
-    assert list(doc) == ["schema_version", "dataset", "config", "n_folds",
-                         "folds", "mean", "std"]
+    assert json.dumps(a) == json.dumps(b)
+    assert list(a) == ["schema_version", "dataset", "config", "n_folds",
+                       "folds", "mean", "std"]
+    assert a["n_folds"] == 4
+    assert len(a["folds"]) == 4
+    keys = ["hamming_loss", "accuracy", "precision", "recall", "f1"]
+    assert all(list(fold) == keys for fold in a["folds"])
+    assert list(a["mean"]) == list(a["std"]) == keys
+    hl = [fold["hamming_loss"] for fold in a["folds"]]
+    assert a["mean"]["hamming_loss"] == pytest.approx(np.mean(hl))
+    assert a["std"]["hamming_loss"] == pytest.approx(np.std(hl, ddof=1))
 
 
 def test_model_round_trip_predictions(tmp_path):
@@ -557,7 +559,7 @@ def test_emit_report_text_for_cv():
     report = run_cv_bundle(config, bundle, 3)
     text = emit_report(report, "text")
     assert "\nn_folds                  3\n" in text
-    assert f"\nstd.f1                   {report.std['f1']:.6f}\n" in text
+    assert f"\nstd.f1                   {report['std']['f1']:.6f}\n" in text
     assert "folds" not in text.replace("n_folds", "")
 
 
@@ -941,6 +943,23 @@ def test_predict_sets_rejects_a_non_finite_row_by_its_bundle_row(value):
                            match="^predict_sets: X row 300 is not finite$"):
             predict_sets(model.params, model.state.beta, model.threshold,
                          norm_stats, bad, min_one=True)
+    # the same value as a threshold is decode_rows' error
+    with pytest.raises(ValueError,
+                       match="^decode_rows: threshold must be finite"):
+        predict_sets(model.params, model.state.beta, value,
+                     model.norm_stats, test, min_one=True)
+
+
+def test_predict_sets_rejects_a_beta_of_another_label_count():
+    # a 3-label beta decoded a 1-label bundle; the mismatch showed only in
+    # evaluate, as "label index 2 outside label space of size 1", or never
+    model = train_stream(_config(n_hidden=8, n_init=30),
+                         synthetic_bundle(120, 6, 3, seed=50))
+    test = synthetic_bundle(40, 6, 1, seed=51)
+    with pytest.raises(ValueError, match=r"^predict_sets: beta has shape "
+                       r"\(8, 3\), but the bundle has 1 labels$"):
+        predict_sets(model.params, model.state.beta, model.threshold,
+                     model.norm_stats, test)
 
 
 def test_reloaded_model_predict_sets_match_one_decode(tmp_path):

@@ -133,6 +133,17 @@ def test_decode_min_one_inactive_when_nonempty():
     assert decode_rows([[0.9, 0.1]], 0.4, min_one=True) == [{0}]
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_decode_rows_rejects_a_non_finite_threshold(threshold):
+    # every score compares false with NaN, so each row used to fall back to
+    # its argmax under min_one, or to the empty set without it
+    for min_one in (True, False):
+        with pytest.raises(ValueError, match="^decode_rows: threshold must "
+                           f"be finite, got {float(threshold)}$"):
+            decode_rows(np.array([[1.0, 2.0]]), threshold, min_one)
+
+
 def test_perfect_separation_recovers_truth():
     # positives all score above every negative: midpoint threshold is exact
     rng = np.random.default_rng(21)
@@ -166,13 +177,14 @@ def test_threshold_shift_equivariance_exact():
 
 def test_dataset_stats_hand_case():
     stats = dataset_stats([{0}, {0, 1}, {1, 2}], 3)
-    assert stats.label_cardinality == pytest.approx(5.0 / 3.0)
-    assert stats.label_density == pytest.approx(5.0 / 9.0)
+    assert list(stats) == ["label_cardinality", "label_density"]
+    assert stats["label_cardinality"] == pytest.approx(5.0 / 3.0)
+    assert stats["label_density"] == pytest.approx(5.0 / 9.0)
 
 
 def test_dataset_stats_singletons():
     stats = dataset_stats([{0}, {1}, {2}, {0}], 3)
-    assert stats.label_cardinality == 1.0
+    assert stats["label_cardinality"] == 1.0
 
 
 def test_dataset_stats_validation():

@@ -732,12 +732,17 @@ def test_look_ahead_error_stays_at_the_per_chunk_level():
     # moves by 1.6x between one and two BLAS threads; without the staleness
     # guard the announced sum is 1.15x to 2.0x the per-chunk one. Blocks of
     # 100 rows (L // 3) are train_stream's at this shape; 255 rows is a
-    # longer announce, as a custom loop may make.
+    # longer announce, as a custom loop may make. The ratio's reference
+    # passes through the same gain solve as its subject, so the announced
+    # error is also held against lstsq alone: with the guard it sums to
+    # 4.0e-9 (one BLAS thread) and 1.6e-9 (two), without it 1.9e-8 and
+    # 1.8e-8 at 255 rows.
     for block in (100, 255):
         announced, per_chunk = np.sum(
             [_stiff_errors(seed, block) for seed in range(4)], axis=0)
         assert per_chunk < 4e-8
         assert announced <= 1.25 * per_chunk, block
+        assert announced < 1e-8, block
 
 
 def test_init_phase_memory_does_not_grow_with_rows():
