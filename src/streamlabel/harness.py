@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -62,17 +62,18 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's data file (path, label spec, format, name) and its learner.
+    """A run's data file (path, format, label spec, name) and its learner.
 
     Checked when built (and by dataclasses.replace): one ConfigError lists
     every invalid value. A valid config then holds plain Python values: int
     counts and seed, a float ridge, and an int or a list of names for
-    label_spec, so numpy scalars given to it serialize as JSON.
+    label_spec, so numpy scalars given to it serialize as JSON. A report's
+    config block echoes the fields in this order (see config_echo).
     """
 
     data_path: str
-    label_spec: object
     data_format: str = "arff"
+    label_spec: object = None  # required: the label_spec rule refuses None
     dataset_name: str | None = None
     n_train: int | None = None
     n_hidden: int = 40
@@ -99,8 +100,8 @@ class RunConfig:
             if (not isinstance(value, numbers.Integral)
                     or isinstance(value, bool)):
                 problems.append(f"{key} must be an integer, got {value!r}")
-            elif key != "seed" and value < 1:
-                problems.append(f"{key} must be >= 1, got {value}")
+            elif value < (least := 0 if key == "seed" else 1):
+                problems.append(f"{key} must be >= {least}, got {value}")
         if (not isinstance(self.ridge, numbers.Real)
                 or isinstance(self.ridge, bool)
                 or not 0.0 <= self.ridge < math.inf):
@@ -134,21 +135,15 @@ class RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict:
-    return {
-        "data_path": config.data_path,
-        "data_format": config.data_format,
-        "label_spec": config.label_spec,
-        "n_train": config.n_train,
-        "n_hidden": config.n_hidden,
-        "seed": config.seed,
-        "n_init": config.n_init,
-        "n_init_effective": config.n_init_effective,
-        "chunk_size": config.chunk_size,
-        "ridge": config.ridge,
-        "threshold_mode": config.threshold_mode,
-        "min_one": config.min_one,
-        "normalize": config.normalize,
-    }
+    """A report's config block: RunConfig's fields in declaration order,
+    less dataset_name (the report's "dataset"), with n_init_effective."""
+    echo = {}
+    for field in fields(config):
+        if field.name != "dataset_name":
+            echo[field.name] = getattr(config, field.name)
+        if field.name == "n_init":
+            echo["n_init_effective"] = config.n_init_effective
+    return echo
 
 
 @dataclass
@@ -348,6 +343,18 @@ def run_cv_bundle(config: RunConfig, bundle: DatasetBundle, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # model persistence
 
+# The model file's arrays, in file order: name -> (the save_model argument
+# and attribute it is read from, its shape as header fields)
+_MODEL_ARRAYS = {
+    "W": ("params", "W", ("n_hidden", "n_features")),
+    "b": ("params", "b", ("n_hidden",)),
+    "beta": ("state", "beta", ("n_hidden", "n_labels")),
+    "M": ("state", "M", ("n_hidden", "n_hidden")),
+    "norm_min": ("norm_stats", "min_", ("n_features",)),
+    "norm_max": ("norm_stats", "max_", ("n_features",)),
+}
+
+
 def _encode_array(a) -> dict:
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"shape": list(a.shape),
@@ -377,6 +384,16 @@ def _decode_array(obj, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
+def _decode_arrays(doc: dict, arrays: dict) -> dict:
+    """The arrays of _MODEL_ARRAYS at their shapes in the checked header. An
+    unnormalized model stores neither norm array; one alone is malformed."""
+    normalized = any(arrays.get(k) is not None for k in ("norm_min", "norm_max"))
+    return {name: _decode_array(arrays.get(name), name,
+                                tuple(doc[d] for d in dims))
+            for name, (source, _, dims) in _MODEL_ARRAYS.items()
+            if normalized or source != "norm_stats"}
+
+
 def _header_field(doc: dict, key: str, least=None, number=False):
     # exactly a JSON integer, or a finite number: int() would truncate 5.7,
     # float() would accept "0.5", and both would accept true
@@ -394,18 +411,18 @@ def _header_field(doc: dict, key: str, least=None, number=False):
 def _header_fields(doc: dict) -> tuple:
     """The one header rule of save_model and load_model.
 
-    Returns (n_features, n_hidden, n_labels, samples_seen, ridge, threshold,
-    seed). A missing field raises KeyError, a bad one ValueError naming it.
+    Checks the dimensions and returns (samples_seen, ridge, threshold, seed).
+    A missing field raises KeyError, a bad one ValueError naming it.
     """
     if doc["activation"] != "sigmoid":
         raise ValueError(f"unsupported activation {doc['activation']!r}")
-    return (*(_header_field(doc, k, 1)
-              for k in ("n_features", "n_hidden", "n_labels")),
-            _header_field(doc, "samples_seen", 0),
+    for key in ("n_features", "n_hidden", "n_labels"):
+        _header_field(doc, key, 1)
+    return (_header_field(doc, "samples_seen", 0),
             _header_field(doc, "ridge", 0, number=True),
             None if doc.get("threshold") is None
             else _header_field(doc, "threshold", number=True),
-            None if doc.get("seed") is None else _header_field(doc, "seed"))
+            None if doc.get("seed") is None else _header_field(doc, "seed", 0))
 
 
 def _checksum(doc: dict) -> str:
@@ -419,8 +436,8 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
 
     Arrays are stored as base64 little-endian float64 bytes, so a reload
     reproduces the saved predictor bit for bit and can resume streaming.
-    A header load_model would refuse raises ValueError naming the field, and
-    nothing is written.
+    A header or an array that load_model would refuse (each array is decoded
+    by its rule) raises ValueError naming it, and nothing is written.
     """
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -436,14 +453,11 @@ def save_model(params: ElmParams, state: OselmState, threshold: float | None,
         "threshold": None if threshold is None else float(threshold),
     }
     _header_fields(doc)
-    doc["arrays"] = {
-        "W": _encode_array(params.W),
-        "b": _encode_array(params.b),
-        "beta": _encode_array(state.beta),
-        "M": _encode_array(state.M),
-        "norm_min": _encode_array(norm_stats.min_) if norm_stats else None,
-        "norm_max": _encode_array(norm_stats.max_) if norm_stats else None,
-    }
+    sources = {"params": params, "state": state, "norm_stats": norm_stats}
+    doc["arrays"] = {name: None if sources[source] is None
+                     else _encode_array(getattr(sources[source], attr))
+                     for name, (source, attr, _) in _MODEL_ARRAYS.items()}
+    _decode_arrays(doc, doc["arrays"])
     doc["checksum"] = _checksum(doc)
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
@@ -481,8 +495,7 @@ def load_model(path) -> LoadedModel:
     # the checksum proves only that the body was not edited by accident;
     # the structure is checked field by field before any array is used
     try:
-        (n_features, n_hidden, n_labels, samples_seen, ridge, threshold,
-         seed) = _header_fields(doc)
+        samples_seen, ridge, threshold, seed = _header_fields(doc)
     except KeyError as err:
         raise ModelFormatError(f"{path}: missing field {err}") from err
     except ValueError as err:
@@ -491,24 +504,17 @@ def load_model(path) -> LoadedModel:
     if not isinstance(arrays, dict):
         raise ModelFormatError(f"{path}: field 'arrays' is not an object")
 
-    W = _decode_array(arrays.get("W"), "W", (n_hidden, n_features))
-    b = _decode_array(arrays.get("b"), "b", (n_hidden,))
-    beta = _decode_array(arrays.get("beta"), "beta", (n_hidden, n_labels))
-    M = _decode_array(arrays.get("M"), "M", (n_hidden, n_hidden))
-    params = ElmParams(W=W, b=b)
+    a = _decode_arrays(doc, arrays)
     try:  # the state's own rule: save_model writes M exactly symmetric
-        state = OselmState(beta=beta.copy(), M=M,
+        state = OselmState(beta=a["beta"].copy(), M=a["M"],
                            samples_seen=samples_seen, ridge_used=ridge)
     except ValueError as err:
         raise ModelFormatError(
             f"{path}: model array 'M' is rejected: {err}") from err
-    norm_stats = None
-    if arrays.get("norm_min") is not None or arrays.get("norm_max") is not None:
-        norm_stats = NormStats(
-            min_=_decode_array(arrays.get("norm_min"), "norm_min", (n_features,)),
-            max_=_decode_array(arrays.get("norm_max"), "norm_max", (n_features,)))
-    return LoadedModel(params=params, state=state, threshold=threshold,
-                       norm_stats=norm_stats, seed=seed)
+    norm_stats = (NormStats(min_=a["norm_min"], max_=a["norm_max"])
+                  if "norm_min" in a else None)
+    return LoadedModel(params=ElmParams(W=a["W"], b=a["b"]), state=state,
+                       threshold=threshold, norm_stats=norm_stats, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from itertools import chain
 
 import numpy as np
 
+from .numerics import _check_finite
+
 
 @dataclass
 class ThresholdCalib:
@@ -66,7 +68,7 @@ def label_matrix(labelsets, m: int) -> np.ndarray:
 def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
     """Fold a chunk's raw scores into the running extrema; returns calib.
 
-    y_raw is (c, m) real scores, truth the matching (c, m) bool membership
+    y_raw is (c, m) finite scores, truth the matching (c, m) bool membership
     (see label_matrix). The result equals folding the rows one at a time.
     """
     y_raw = np.asarray(y_raw, dtype=np.float64)
@@ -77,6 +79,7 @@ def calibrate_chunk(calib: ThresholdCalib, y_raw, truth) -> ThresholdCalib:
         raise ValueError(
             f"truth must be a bool matrix of shape {y_raw.shape}, "
             f"got {truth.dtype} {truth.shape}")
+    _check_finite("calibrate_chunk", "y_raw", y_raw)
     if truth.any():
         pos = float(np.min(y_raw, where=truth, initial=np.inf))
         calib.min_pos = pos if calib.min_pos is None else min(calib.min_pos, pos)

@@ -10,7 +10,7 @@ Precision divides the overlap by the predicted-set size, recall by the
 true-set size; F1 is their per-sample harmonic mean, 2|inter|/(|pred|+|truth|).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 from .labels import _label_indices
@@ -27,13 +27,7 @@ class MetricsReport:
     f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "hamming_loss": self.hamming_loss,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def evaluate(preds, truths, m: int) -> MetricsReport:

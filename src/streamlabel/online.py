@@ -20,7 +20,7 @@ is solved once per block of chunks (a look-ahead):
   chunk's scores H[r0:r1] beta passes them as ``scores=``. Other rows are
   announced by update_chunk with look_ahead, as a block of one chunk.
 - The next ``look_ahead`` folds the applied rows into M with one rank-k
-  downdate, M -= U[:used]'U[:used].
+  downdate, M -= U[folded:used]'U[folded:used].
 
 M enters the state once, when it is built, and is downdated in its own
 memory, so a caller holding ``state.M`` should snapshot it with ``.copy()``.
@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .elm import ElmParams, _as_rows, _normal_equations, hidden_map
-from .numerics import _MIRROR_BLOCK, _check_finite, _cholesky, mirror_lower
+from .numerics import _check_finite, _cholesky, mirror_lower
 
 
 # The guard: the block's factor solves row i of U as its projection less the
@@ -52,8 +52,8 @@ _STALE_FRACTION = 0.5
 class _LookAhead:
     """Announced rows X, their hidden rows H, F F' = I + H M H', U = F^-1 H M.
 
-    Rows [:used] are applied to beta and not yet folded into M. A chunk may
-    start at any row up to ``trusted`` (see _STALE_FRACTION).
+    Rows [folded:used] are applied to beta and not yet folded into M. A chunk
+    may start at any row up to ``trusted`` (see _STALE_FRACTION).
     """
 
     X: np.ndarray
@@ -62,6 +62,7 @@ class _LookAhead:
     U: np.ndarray
     trusted: int
     used: int = 0
+    folded: int = 0
 
 
 class OselmState:
@@ -82,14 +83,11 @@ class OselmState:
         L = beta.shape[0]
         if M.shape != (L, L):
             raise ValueError(f"OselmState: M is {M.shape}, not ({L}, {L})")
-        # one pass of row blocks, with no (L, L) temporary: an asymmetric M
-        # is rejected, not left for the first fold to repair
-        for i0 in range(0, L, _MIRROR_BLOCK):
-            rows = M[i0:i0 + _MIRROR_BLOCK]
-            if not np.isfinite(rows).all():
-                raise ValueError("OselmState: M has a NaN or infinite entry")
-            if not np.array_equal(rows, M[:, i0:i0 + _MIRROR_BLOCK].T):
-                raise ValueError("OselmState: M is not exactly symmetric")
+        if not np.isfinite(M).all():
+            raise ValueError("OselmState: M has a NaN or infinite entry")
+        # an asymmetric M is rejected, not left for the first fold to repair
+        if not np.array_equal(M, M.T):
+            raise ValueError("OselmState: M is not exactly symmetric")
         # BLAS writes into M.T; f2py would write through a read-only flag,
         # and it copies any other layout
         self._M = M if M.flags.c_contiguous and M.flags.writeable else M.copy()
@@ -110,23 +108,21 @@ class OselmState:
 
 
 def _fold(state: OselmState) -> None:
-    """Fold the applied rows, M -= U[:used]'U[:used], and keep the rest.
+    """Fold the applied rows, M -= U[folded:used]'U[folded:used].
 
     The rows still to come keep their factor and U rows, which do not depend
     on when M is folded.
     """
     ahead = state._ahead
-    if ahead is None or not ahead.used:
+    if ahead is None or ahead.folded == ahead.used:
         return
-    u = ahead.used
     # U.T is an F-ordered view; dsyrk writes the upper triangle of the
     # F-ordered view M.T, which is M's lower one, in M's own memory, and the
     # mirror keeps M exactly symmetric for the product and the reader
-    blas.dsyrk(-1.0, ahead.U[:u].T, beta=1.0, c=state._M.T, overwrite_c=1)
+    blas.dsyrk(-1.0, ahead.U[ahead.folded:ahead.used].T, beta=1.0,
+               c=state._M.T, overwrite_c=1)
     mirror_lower(state._M)
-    ahead.X, ahead.H = ahead.X[u:], ahead.H[u:]
-    ahead.F, ahead.U = ahead.F[u:, u:], ahead.U[u:]
-    ahead.trusted, ahead.used = ahead.trusted - u, 0
+    ahead.folded = ahead.used
 
 
 def init_phase(params: ElmParams, X0, Y0_bip, ridge: float = 0.0) -> OselmState:

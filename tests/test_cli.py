@@ -515,3 +515,23 @@ def test_unexpected_error_exits_1(synth_csv, monkeypatch, capsys):
                  "--labels", "3"])
     assert code == 1
     assert capsys.readouterr().err == "error[unexpected]: RuntimeError: boom\n"
+
+
+def test_stream_report_keys_follow_the_declared_fields(synth_csv, capsys):
+    # the config block follows RunConfig's field order, less dataset_name,
+    # with n_init_effective after n_init; the metrics follow MetricsReport's
+    assert main(["stream", "--data", synth_csv] + RUN_FLAGS) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["config"]) == [
+        "data_path", "data_format", "label_spec", "n_train", "n_hidden",
+        "seed", "n_init", "n_init_effective", "chunk_size", "ridge",
+        "threshold_mode", "min_one", "normalize"]
+    assert list(doc["metrics"]) == ["hamming_loss", "accuracy", "precision",
+                                    "recall", "f1"]
+
+
+def test_negative_seed_is_a_named_usage_error(synth_csv, capsys):
+    code = main(["stream", "--data", synth_csv] + RUN_FLAGS[:-1] + ["-1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error[config]: seed must be >= 0, got -1\n")

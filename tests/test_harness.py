@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamlabel import (ConfigError, ModelFormatError, NormStats, RunConfig,
-                         batch_train, decode_rows, emit_report,
-                         harness, init_params, hidden_map, init_phase,
-                         load_dataset, load_dataset_defaults, load_model,
-                         normalize_fit, predict_raw, predict_sets,
-                         run_cv_bundle, run_stream_split, save_model, split,
-                         train_stream, update_chunk)
+from streamlabel import (ConfigError, ModelFormatError, NormStats,
+                         OselmState, RunConfig, batch_train, decode_rows,
+                         emit_report, harness, init_params, hidden_map,
+                         init_phase, load_dataset, load_dataset_defaults,
+                         load_model, normalize_fit, predict_raw,
+                         predict_sets, run_cv_bundle, run_stream_split,
+                         save_model, split, train_stream, update_chunk)
 from streamlabel.cli import main
 from streamlabel.dataio import _normalize_rows
 
@@ -69,7 +70,7 @@ def test_config_is_frozen_and_checked_on_replace():
     ("ridge", math.nan), ("ridge", math.inf), ("ridge", "0.5"),
     ("ridge", True), ("data_format", "xlsx"), ("label_spec", 2.5),
     ("label_spec", 0), ("label_spec", True), ("label_spec", ""),
-    ("label_spec", []), ("label_spec", ("a", 2)),
+    ("label_spec", []), ("label_spec", ("a", 2)), ("seed", -1),
 ])
 def test_config_checks_types(key, value):
     # each of these used to build, then fail later or run as something else
@@ -434,6 +435,7 @@ def _set_b_shape(doc):
     (_set_field("n_hidden", 5.7), "'n_hidden' must be an integer"),
     (_set_field("n_hidden", 6.0), "'n_hidden' must be an integer"),
     (_set_field("seed", "7"), "'seed' must be an integer"),
+    (_set_field("seed", -3), "need seed >= 0, got seed=-3$"),
     (_set_field("threshold", True), "'threshold' must be a number"),
     (_set_field("threshold", "0.25"), "'threshold' must be a number"),
     (_set_field("ridge", "0.5"), "'ridge' must be a number"),
@@ -449,7 +451,7 @@ def _set_b_shape(doc):
         "norm_max-inf", "threshold-nan", "threshold-inf", "ridge-nan",
         "ridge-inf", "samples_seen-negative", "ridge-negative",
         "samples_seen-bool",
-        "n_hidden-fraction", "n_hidden-float", "seed-string",
+        "n_hidden-fraction", "n_hidden-float", "seed-string", "seed-negative",
         "threshold-bool", "threshold-string", "ridge-string", "ridge-bool",
         "arrays-list", "b-short-data"])
 def test_model_structure_checked_behind_valid_checksum(tmp_path, edit, match):
@@ -494,6 +496,51 @@ def test_save_model_refuses_a_header_load_model_refuses(
     with pytest.raises(ValueError, match=match):
         save_model(params, state, threshold, None, path)
     assert not path.exists()
+
+
+def _nan_beta(params, state, norm):
+    beta = state.beta.copy()
+    beta[2, 1] = np.nan
+    return params, OselmState(beta, state.M.copy(), state.samples_seen,
+                              state.ridge_used), norm
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda params, state, norm: (
+        params, state, NormStats(np.zeros(4), np.ones(4))),
+     "'norm_min' has shape [4], expected [5]"),
+    (lambda params, state, norm: (init_params(5, 12, seed=1), state, norm),
+     "'beta' has shape [10, 3], expected [12, 3]"),
+    (_nan_beta, "'beta' has a NaN or inf value"),
+], ids=["norm-width", "params-width", "beta-nan"])
+def test_save_model_refuses_an_array_load_model_refuses(tmp_path, edit, match):
+    # each of these was written, and load_model refused the file
+    params = init_params(5, 10, seed=7)
+    rng = np.random.default_rng(8)
+    state = init_phase(params, rng.uniform(size=(20, 5)),
+                       np.where(rng.integers(0, 2, (20, 3)) == 1, 1.0, -1.0))
+    norm = NormStats(np.zeros(5), np.ones(5))
+    edited_params, edited_state, edited_norm = edit(params, state, norm)
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        save_model(edited_params, edited_state, 0.0, edited_norm, path)
+    assert not path.exists()
+    save_model(params, state, 0.0, norm, path)  # the unedited model saves
+    assert load_model(path).norm_stats is not None
+
+
+def test_save_model_refuses_a_negative_seed(tmp_path):
+    # it used to write the file, which loaded back with seed -3
+    params = init_params(4, 6, seed=7)
+    rng = np.random.default_rng(8)
+    state = init_phase(params, rng.uniform(size=(12, 4)),
+                       np.where(rng.integers(0, 2, (12, 2)) == 1, 1.0, -1.0))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="^need seed >= 0, got seed=-3$"):
+        save_model(params, state, 0.0, None, path, seed=-3)
+    assert not path.exists()
+    save_model(params, state, 0.0, None, path, seed=0)
+    assert load_model(path).seed == 0
 
 
 def test_resume_streaming_matches_never_saved(tmp_path):

@@ -413,3 +413,19 @@ def test_the_first_bad_label_index_is_named(caller):
     # p1 is read after t0
     with pytest.raises(ValueError, match="got NoneType$"):
         _CALLERS[caller]([{0}, {1}, {None}, {-1}])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "after"])
+def test_calibrate_chunk_rejects_a_non_finite_score(bad, first):
+    # a non-finite chunk used to be dropped after a finite one, and to turn
+    # both extrema into NaN when it came first
+    truth = label_matrix([{0}, {1}], 2)
+    calib = ThresholdCalib()
+    if not first:
+        calibrate_chunk(calib, [[1.0, -1.0], [-1.0, 1.0]], truth)
+    before = (calib.min_pos, calib.max_neg)
+    with pytest.raises(ValueError,
+                       match="^calibrate_chunk: y_raw row 1 is not finite$"):
+        calibrate_chunk(calib, [[0.5, -0.5], [-0.5, bad]], truth)
+    assert (calib.min_pos, calib.max_neg) == before
